@@ -195,7 +195,8 @@ fn main() {
     );
 
     // Threaded sweep: every simulated processor is an OS thread, every
-    // publish hands an Arc'd frame to every peer's inbox.
+    // flush hands one shared copy of the epoch's batch bytes to every
+    // node's inbox, and every node's replica decodes every stream.
     for &kind in &kinds {
         for &nprocs in node_counts {
             let (result, wall_ms) = epoch_run(kind, nprocs, iters, TransportKind::Channel);

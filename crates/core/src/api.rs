@@ -791,15 +791,22 @@ mod tests {
             let mut d = dsm(ImplKind::lrc_diff(), 2);
             let a = d.alloc_array::<u32>("a", 16, BlockGranularity::Word);
             let result = d.run(|ctx| {
-                if guards {
-                    let mut g = ctx.lock(LockId::new(0), LockMode::Exclusive);
-                    g.modify(a, 0, |v: u32| v + 1);
-                } else {
-                    ctx.acquire(LockId::new(0), LockMode::Exclusive);
-                    ctx.update::<u32>(a.region(), 0, |v| v + 1);
-                    ctx.release(LockId::new(0));
+                // Node 0 takes the lock before the first barrier and node 1
+                // only after it, so the grant order — and with it the
+                // traffic — is the same on every run.
+                for turn in 0..2 {
+                    if ctx.node() == turn {
+                        if guards {
+                            let mut g = ctx.lock(LockId::new(0), LockMode::Exclusive);
+                            g.modify(a, 0, |v: u32| v + 1);
+                        } else {
+                            ctx.acquire(LockId::new(0), LockMode::Exclusive);
+                            ctx.update::<u32>(a.region(), 0, |v| v + 1);
+                            ctx.release(LockId::new(0));
+                        }
+                    }
+                    ctx.barrier(BarrierId::new(0));
                 }
-                ctx.barrier(BarrierId::new(0));
             });
             (
                 result.final_at(a, 0),

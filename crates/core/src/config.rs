@@ -379,15 +379,9 @@ pub struct DsmConfig {
     /// faults (the EC twinning improvement over Midway, Section 4.2).  The
     /// paper draws the boundary at the page size.
     pub ec_small_object_limit: usize,
-    /// Use the hierarchical (page-level + word-level) dirty-bit scheme for
-    /// LRC with compiler instrumentation (Section 4.1).
-    pub hierarchical_dirty_bits: bool,
     /// Apply the loop-splitting compiler optimisation of Section 4.1/8.1,
     /// which batches dirty-bit stores and reduces their per-write cost.
     pub ci_loop_optimization: bool,
-    /// How many publish records (diffs) to retain per lock/page for traffic
-    /// accounting.  Older records fall back to a merged-size estimate.
-    pub diff_ring: usize,
     /// Which transport backend carries publish frames during the run.  The
     /// default [`TransportKind::Simulated`] replicates nothing and keeps
     /// every result byte-identical to the pre-transport runtime; the real
@@ -422,9 +416,7 @@ impl DsmConfig {
             kind,
             cost: CostModel::atm_lan_1996(),
             ec_small_object_limit: if no_small { 0 } else { dsm_mem::PAGE_SIZE },
-            hierarchical_dirty_bits: true,
             ci_loop_optimization: !naive_ci,
-            diff_ring: 64,
             transport: TransportKind::Simulated,
             fault: FaultPlan::None,
         }
@@ -446,11 +438,6 @@ impl DsmConfig {
     pub fn validate(&self) -> Result<(), DsmError> {
         if self.nprocs == 0 {
             return Err(DsmError::InvalidConfig("nprocs must be at least 1".into()));
-        }
-        if self.diff_ring == 0 {
-            return Err(DsmError::InvalidConfig(
-                "diff_ring must be at least 1".into(),
-            ));
         }
         if let FaultPlan::KillAt { node, .. } = self.fault {
             if node as usize >= self.nprocs {
@@ -550,9 +537,6 @@ mod tests {
     fn invalid_configs_are_rejected() {
         let mut cfg = DsmConfig::paper(ImplKind::ec_time());
         cfg.nprocs = 0;
-        assert!(cfg.validate().is_err());
-        let mut cfg = DsmConfig::paper(ImplKind::ec_time());
-        cfg.diff_ring = 0;
         assert!(cfg.validate().is_err());
     }
 

@@ -20,7 +20,7 @@ use std::sync::{Mutex, RwLock};
 use dsm_mem::{BlockGranularity, MemRange, RegionDesc, VectorClock};
 
 use crate::config::{Collection, DsmConfig, Trapping};
-use crate::engine::{ProtocolEngine, PublishRec, CTRL_MSG_BYTES};
+use crate::engine::{ProtocolEngine, PublishRec, CTRL_MSG_BYTES, DIFF_RING};
 use crate::ids::{LockId, LockMode};
 use crate::local::{HeldLock, NodeLocal};
 use crate::recovery::UndoRec;
@@ -397,7 +397,6 @@ impl ProtocolEngine for EcEngine {
         let cost = &self.cfg.cost;
         let trapping = self.cfg.kind.trapping();
         let collection = self.cfg.kind.collection();
-        let diff_ring = self.cfg.diff_ring;
         let me = local.node;
 
         let slot = self.locks.get(lock.index());
@@ -576,7 +575,7 @@ impl ProtocolEngine for EcEngine {
                 lock: lock.index(),
                 stamp: seq,
             });
-            while meta.publishes.len() > diff_ring {
+            while meta.publishes.len() > DIFF_RING {
                 meta.publishes.pop_front();
             }
         }

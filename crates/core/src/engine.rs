@@ -30,9 +30,13 @@ use crate::lrc::{AdaptiveLrcEngine, HomeBasedLrcEngine, HomelessLrcEngine};
 /// bookkeeping) in bytes.
 pub(crate) const CTRL_MSG_BYTES: usize = 16;
 
+/// How many publish records to retain per lock (EC) or page (LRC) for
+/// traffic accounting.  Older records fall back to a merged-size estimate.
+pub(crate) const DIFF_RING: usize = 64;
+
 /// One publish record: the modifications one release (EC) or one interval
 /// (LRC) made to a lock's bound data or to a page.  Retained in a bounded
-/// ring for diff-collection traffic accounting.
+/// ring of [`DIFF_RING`] records for diff-collection traffic accounting.
 #[derive(Debug, Clone)]
 pub(crate) struct PublishRec {
     /// EC: global publish sequence number; LRC: interval index of the writer.

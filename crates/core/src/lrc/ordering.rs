@@ -22,7 +22,7 @@ use dsm_mem::{pages_in, MemRange, PageModeChange, RegionDesc, VectorClock, Write
 use dsm_sim::{NodeId, RegionSharing};
 
 use crate::config::{Collection, DsmConfig, Trapping};
-use crate::engine::{ProtocolEngine, PublishRec};
+use crate::engine::{ProtocolEngine, PublishRec, DIFF_RING};
 use crate::ids::{LockId, LockMode};
 use crate::local::{HeldLock, NodeLocal};
 use crate::recovery::UndoRec;
@@ -148,8 +148,6 @@ impl<P: DataPolicy> LrcEngine<P> {
         let cost = &self.cfg.cost;
         let trapping = self.cfg.kind.trapping();
         let collection = self.cfg.kind.collection();
-        let hierarchical = self.cfg.hierarchical_dirty_bits;
-        let diff_ring = self.cfg.diff_ring;
         let me = local.node;
         let me_idx = me.index();
         let next_interval = local.vector.entry(me) + 1;
@@ -334,7 +332,7 @@ impl<P: DataPolicy> LrcEngine<P> {
                 // Append to the page's publish history as a delta-chain
                 // record (recycled buffers: steady-state publishes allocate
                 // nothing).
-                ps.push_pub(me, next_interval, &pub_clock, diff_ring);
+                ps.push_pub(me, next_interval, &pub_clock, DIFF_RING);
                 let mut rec = PublishRec {
                     stamp: next_interval as u64,
                     node: me,
@@ -350,7 +348,7 @@ impl<P: DataPolicy> LrcEngine<P> {
                 }
                 let ps = &mut rs.pages[page];
                 ps.diffs.push_back(rec);
-                while ps.diffs.len() > diff_ring {
+                while ps.diffs.len() > DIFF_RING {
                     ps.diffs.pop_front();
                 }
             }
@@ -373,14 +371,12 @@ impl<P: DataPolicy> LrcEngine<P> {
                 }
             }
             Trapping::Instrumentation => {
-                if hierarchical {
-                    // Finding the dirty pages means checking the page-level
-                    // dirty bit of every page in the shared data set.
-                    local.stats.page_bits_checked += total_region_pages;
-                    local
-                        .clock
-                        .advance(cost.page_bit_checks(total_region_pages));
-                }
+                // Finding the dirty pages means checking the page-level
+                // dirty bit of every page in the shared data set.
+                local.stats.page_bits_checked += total_region_pages;
+                local
+                    .clock
+                    .advance(cost.page_bit_checks(total_region_pages));
             }
         }
 
@@ -786,11 +782,9 @@ impl<P: DataPolicy> ProtocolEngine for LrcEngine<P> {
         let trapping = self.cfg.kind.trapping();
 
         if trapping == Trapping::Instrumentation {
-            let mut factor = if self.cfg.ci_loop_optimization { 1 } else { 2 };
-            if self.cfg.hierarchical_dirty_bits {
-                // The hierarchical scheme also sets a page-level dirty bit.
-                factor += 1;
-            }
+            // Word-level dirty bits (two stores without the loop-splitting
+            // optimisation), plus the hierarchical scheme's page-level bit.
+            let factor = if self.cfg.ci_loop_optimization { 2 } else { 3 };
             local.stats.instrumented_writes += count as u64;
             local
                 .clock

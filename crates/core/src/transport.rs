@@ -4,30 +4,31 @@
 //! [`Transport`] decides what *else* happens at each publish.  The default
 //! [`TransportKind::Simulated`] backend does nothing — messages remain pure
 //! cost accounting, exactly as before, and the hot path stays branch-only.
-//! The real backends replicate every publish as a [`WireFrame`] to a set of
-//! replica holders and verify, at the end of the run, that every replica's
-//! contents are byte-identical (FNV-fingerprint equal) to the engines'
-//! master copies:
+//! The real backends replicate every publish to a set of replica holders and
+//! verify, at the end of the run, that every replica's contents are
+//! byte-identical (FNV-fingerprint equal) to the engines' master copies.
+//!
+//! Both real backends speak one wire form.  An endpoint encodes each publish
+//! as a v2 frame (see [`dsm_mem::wire::encode_frame_v2`]) into one open batch
+//! message: vector clocks travel as [`CompactClock`] delta records against
+//! the stream's previous clock, so ordering metadata scales with what
+//! changed, not with nprocs.  The engines call [`WireEndpoint::flush`] once
+//! per publish event (at each **epoch boundary**, after the region locks are
+//! released), and the flush delivers the batch's bytes:
 //!
 //! * [`TransportKind::Channel`] — every simulated processor is a
-//!   message-passing OS thread; frames travel as `Arc`'d flat payloads over
-//!   `std::sync::mpsc` channels with zero copies, one full replica per node.
-//! * [`TransportKind::SocketLocal`] / [`TransportKind::SocketRemote`] —
-//!   frames are serialized with the dependency-free codec of
-//!   [`dsm_mem::wire`] and streamed over length-prefixed TCP connections to
-//!   replica peers: in-process listener threads (`SocketLocal`) or separate
-//!   processes started by a driver (`SocketRemote`, see
-//!   [`serve_transport_peer`]).
+//!   message-passing OS thread with one full replica; the batch goes, as one
+//!   shared `Arc<[u8]>` tagged with the sender, into every node's
+//!   `std::sync::mpsc` inbox, the sender's own included.
+//! * [`TransportKind::SocketLocal`] / [`TransportKind::SocketRemote`] — the
+//!   same bytes go out with one `write_all` per length-prefixed TCP
+//!   connection (`TCP_NODELAY` set) to replica peers: in-process listener
+//!   threads (`SocketLocal`) or separate processes started by a driver
+//!   (`SocketRemote`, see [`serve_transport_peer`]).
 //!
-//! Both real backends buffer per peer and move data at **epoch boundaries**:
-//! an endpoint accumulates the interval's frames and the engines call
-//! [`WireEndpoint::flush`] once per publish event, after the region locks
-//! are released — one channel send (or one `write_all` syscall, with
-//! `TCP_NODELAY` set) per peer per epoch instead of one per frame.  On the
-//! wire the frames travel in v2 form (see [`dsm_mem::wire::encode_frame_v2`]):
-//! vector clocks are [`CompactClock`] delta records against the stream's
-//! previous clock, so ordering metadata scales with what changed, not with
-//! nprocs.
+//! On the receive side one replica intake decodes every message of both
+//! backends, and one check verifies every replica's end-of-run report.  Wire
+//! bytes are measured from the delivered messages, summed over receivers.
 //!
 //! Cost accounting is transport-independent: the simulated clocks and
 //! statistics are charged identically under every backend, so simulated
@@ -41,10 +42,10 @@ use std::net::{TcpListener, TcpStream};
 use std::sync::{mpsc, Arc};
 
 use dsm_mem::wire::{
-    self, begin_batch, encode_frame_v2, finish_batch, fnv64, fnv64_regions, frame_v2_meta_len,
-    read_msg, write_msg, BatchReader, FrameV2, WireFrame, WireInit, WireMsgKind, WireReport,
+    begin_batch, encode_frame_v2, finish_batch, fnv64, fnv64_regions, read_msg, split_msg,
+    write_msg, BatchReader, FrameV2, WireFrame, WireInit, WireMsgKind, WireReport,
 };
-use dsm_mem::{put_varint, varint_len, BufferPool, CompactClock};
+use dsm_mem::{put_varint, BufferPool, CkptImage, CompactClock};
 use dsm_sim::NodeId;
 
 use crate::config::DsmConfig;
@@ -59,8 +60,9 @@ pub enum TransportKind {
     /// No replication: messages are cost accounting only (the default).
     #[default]
     Simulated,
-    /// One replica per simulated processor; frames are `Arc`-shared over
-    /// in-process `std::sync::mpsc` channels between the worker threads.
+    /// One replica per simulated processor; each epoch's batch message is
+    /// `Arc`-shared over in-process `std::sync::mpsc` channels between the
+    /// worker threads.
     Channel,
     /// This many replica peers served by in-process listener threads;
     /// frames are serialized and streamed over loopback TCP.
@@ -100,9 +102,10 @@ pub struct TransportReport {
     pub replicas_verified: usize,
     /// Publish frames sent (each counted once, however many receivers).
     pub frames_sent: u64,
-    /// Bytes delivered, summed over receivers (for the channel backend: the
-    /// bytes that *would* be on a wire in v2 batch form; the `Arc` handoff
-    /// itself copies nothing).  Always `wire_bytes_payload + wire_bytes_meta`.
+    /// Bytes delivered, summed over receivers: the framed messages every
+    /// receiver got (the channel backend hands each node one shared copy of
+    /// the bytes a socket writes).  Always
+    /// `wire_bytes_payload + wire_bytes_meta`.
     pub wire_bytes: u64,
     /// The changed-bytes part of `wire_bytes`: run payloads, summed over
     /// receivers.
@@ -128,19 +131,17 @@ pub struct TransportReport {
     pub rollback_frames: u64,
 }
 
-/// Sentinel region index marking an in-process control frame (the channel
-/// backend's counterpart of [`WireMsgKind::Ctrl`]): replicas fingerprint the
-/// payload instead of applying it.
-const CTRL_REGION: u32 = u32::MAX;
+/// A malformed message on a node stream.
+fn bad(msg: &str) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg.to_string())
+}
 
-/// Sentinel region index for a checkpoint image (the channel backend's
-/// counterpart of [`WireMsgKind::Ckpt`]): replicas count and fingerprint the
-/// encoded [`dsm_mem::CkptImage`] without applying it.
-const CKPT_REGION: u32 = u32::MAX - 1;
-
-/// Sentinel region index for a rollback notice ([`WireMsgKind::Rollback`]):
-/// a recovering node announcing it re-enters from its last checkpoint.
-const ROLLBACK_REGION: u32 = u32::MAX - 2;
+/// Folds one out-of-band body into a `(count, fnv)` tally: a sender's or a
+/// replica's.
+fn tally(count: &mut u64, fnv: &mut u64, body: &[u8]) {
+    *count += 1;
+    *fnv ^= fnv64(body);
+}
 
 /// One replica of the shared regions, rebuilt purely from publish frames.
 ///
@@ -154,20 +155,12 @@ struct Replica {
     /// Per region: the last applied sequence number (0 = none yet).
     applied_seq: Vec<u64>,
     /// Per region: frames that arrived ahead of their turn, keyed by seq.
-    pending: Vec<BTreeMap<u64, Arc<WireFrame>>>,
-    frames_applied: u64,
-    bytes_received: u64,
-    /// Control frames received and their order-independent fingerprint.
-    ctrl_frames: u64,
-    ctrl_fnv: u64,
-    /// Checkpoint images received and their order-independent fingerprint.
-    ckpt_frames: u64,
-    ckpt_fnv: u64,
-    /// Rollback notices received and their order-independent fingerprint.
-    rollback_frames: u64,
-    rollback_fnv: u64,
+    pending: Vec<BTreeMap<u64, WireFrame>>,
+    /// Everything the end-of-run report carries except the contents
+    /// fingerprint, which [`Replica::finish`] fills in.
+    tally: WireReport,
     /// Recycles applied frames' payload buffers back to the decode path, so
-    /// a socket peer's read loop stops allocating per frame in steady state.
+    /// steady-state intake stops allocating payloads.
     pool: BufferPool,
 }
 
@@ -177,61 +170,59 @@ impl Replica {
             regions: init.to_vec(),
             applied_seq: vec![0; init.len()],
             pending: init.iter().map(|_| BTreeMap::new()).collect(),
-            frames_applied: 0,
-            bytes_received: 0,
-            ctrl_frames: 0,
-            ctrl_fnv: 0,
-            ckpt_frames: 0,
-            ckpt_fnv: 0,
-            rollback_frames: 0,
-            rollback_fnv: 0,
+            tally: WireReport::default(),
             pool: BufferPool::new(),
         }
     }
 
-    /// Folds one control payload into the replica's count and fingerprint.
-    fn take_ctrl(&mut self, payload: &[u8]) {
-        self.ctrl_frames += 1;
-        self.ctrl_fnv ^= fnv64(payload);
-    }
-
-    /// Folds one checkpoint image into the replica's count and fingerprint.
-    /// The image must at least decode — a replica is the crash-recovery
-    /// escrow, so a malformed image is a transport bug worth failing on.
-    fn take_ckpt(&mut self, payload: &[u8]) {
-        assert!(
-            dsm_mem::CkptImage::decode(payload).is_some(),
-            "malformed checkpoint image reached a replica"
-        );
-        self.ckpt_frames += 1;
-        self.ckpt_fnv ^= fnv64(payload);
-    }
-
-    /// Folds one rollback notice into the replica's count and fingerprint.
-    fn take_rollback(&mut self, payload: &[u8]) {
-        self.rollback_frames += 1;
-        self.rollback_fnv ^= fnv64(payload);
+    /// Takes one framed message from a node stream: the single receive path
+    /// of both real backends.  `codec` is the receive side of that sender's
+    /// delta clock stream, so messages of one sender must arrive in order.
+    ///
+    /// A `Batch` is decoded and its frames applied as their turns come.
+    /// Control broadcasts, checkpoint images and rollback notices are not
+    /// applied: each is counted and folded into an order-independent XOR-FNV
+    /// fingerprint that [`Transport::finish`] checks against the senders'.
+    fn intake(
+        &mut self,
+        codec: &mut CompactClock,
+        kind: WireMsgKind,
+        body: &[u8],
+    ) -> io::Result<()> {
+        // The u32 length prefix and the kind byte ride with every body.
+        self.tally.bytes_received += body.len() as u64 + 5;
+        let t = &mut self.tally;
+        match kind {
+            WireMsgKind::Batch => {
+                let mut frames =
+                    BatchReader::new(body).ok_or_else(|| bad("batch lacks a frame count"))?;
+                while frames.remaining() > 0 {
+                    let frame = frames
+                        .next(codec, &mut self.pool)
+                        .ok_or_else(|| bad("malformed frame in batch"))?;
+                    self.offer(frame);
+                }
+                if !frames.finished() {
+                    return Err(bad("trailing bytes after the last batch frame"));
+                }
+            }
+            WireMsgKind::Ctrl => tally(&mut t.ctrl_frames, &mut t.ctrl_fnv, body),
+            // A replica is the crash-recovery escrow, so an image that does
+            // not decode is a transport fault.
+            WireMsgKind::Ckpt if CkptImage::decode(body).is_none() => {
+                return Err(bad("malformed checkpoint image"));
+            }
+            WireMsgKind::Ckpt => tally(&mut t.ckpt_frames, &mut t.ckpt_fnv, body),
+            WireMsgKind::Rollback => tally(&mut t.rollback_frames, &mut t.rollback_fnv, body),
+            _ => return Err(bad("unexpected message on a node stream")),
+        }
+        Ok(())
     }
 
     /// Accepts a frame, applying it — and any unblocked successors — as soon
-    /// as its region's sequence reaches it.  Uniquely-owned applied frames
-    /// donate their payload buffer back to the pool.
-    fn offer(&mut self, frame: Arc<WireFrame>) {
-        match frame.region {
-            CTRL_REGION => {
-                self.take_ctrl(&frame.payload);
-                return;
-            }
-            CKPT_REGION => {
-                self.take_ckpt(&frame.payload);
-                return;
-            }
-            ROLLBACK_REGION => {
-                self.take_rollback(&frame.payload);
-                return;
-            }
-            _ => {}
-        }
+    /// as its region's sequence reaches it.  Applied frames donate their
+    /// payload buffer back to the pool.
+    fn offer(&mut self, frame: WireFrame) {
         let r = frame.region as usize;
         assert!(r < self.regions.len(), "frame for unknown region {r}");
         self.pending[r].insert(frame.seq, frame);
@@ -241,57 +232,36 @@ impl Replica {
                 "frame run outside region {r}"
             );
             self.applied_seq[r] += 1;
-            self.frames_applied += 1;
-            if let Ok(owned) = Arc::try_unwrap(f) {
-                self.pool.put(owned.payload);
-            }
+            self.tally.frames_applied += 1;
+            self.pool.put(f.payload);
         }
     }
 
-    /// Counts framed bytes (message headers included) received on node
-    /// streams; the socket peer loop calls it once per message.
-    fn note_received(&mut self, bytes: u64) {
-        self.bytes_received += bytes;
-    }
-
-    /// True once no frame is waiting on a missing predecessor.
-    fn drained(&self) -> bool {
-        self.pending.iter().all(BTreeMap::is_empty)
-    }
-
-    fn fnv(&self) -> u64 {
-        fnv64_regions(self.regions.iter().map(|r| r.as_slice()))
-    }
-
-    fn report(&self) -> WireReport {
-        WireReport {
-            contents_fnv: self.fnv(),
-            frames_applied: self.frames_applied,
-            bytes_received: self.bytes_received,
-            ctrl_frames: self.ctrl_frames,
-            ctrl_fnv: self.ctrl_fnv,
-            ckpt_frames: self.ckpt_frames,
-            ckpt_fnv: self.ckpt_fnv,
-            rollback_frames: self.rollback_frames,
-            rollback_fnv: self.rollback_fnv,
+    /// The end-of-run report, once every stream has ended.  Fails if a frame
+    /// still waits on a sequence that never arrived.
+    fn finish(&self) -> io::Result<WireReport> {
+        if !self.pending.iter().all(BTreeMap::is_empty) {
+            return Err(bad("frames wait on missing sequences"));
         }
+        Ok(WireReport {
+            contents_fnv: fnv64_regions(self.regions.iter().map(|r| r.as_slice())),
+            ..self.tally
+        })
     }
 }
 
-/// An epoch's worth of frames, handed to a peer's inbox in one send.
-type FrameBatch = Vec<Arc<WireFrame>>;
-
-/// Flush the socket batch buffer early if it outgrows this (pathological
-/// epochs only; normal epochs are a few KiB).
-const SOCKET_BATCH_LIMIT: usize = 4 << 20;
+/// Flush the batch buffer early if it outgrows this (pathological epochs
+/// only; normal epochs are a few KiB).
+const BATCH_LIMIT: usize = 4 << 20;
 
 /// A worker thread's handle onto the transport: where its publish frames go.
 ///
 /// Owned by the worker's `NodeLocal` for the duration of the run (`None`
 /// under the simulated backend), handed back to the transport's
-/// [`Transport::finish`] afterwards.  Publishes accumulate in a per-peer
-/// send buffer; the engines call [`WireEndpoint::flush`] at each epoch
-/// boundary (end of a publish event, after region locks are released).
+/// [`Transport::finish`] afterwards.  Publishes are encoded into one open
+/// batch message; the engines call [`WireEndpoint::flush`] at each epoch
+/// boundary (end of a publish event, after region locks are released), and
+/// the flush delivers the batch's bytes to every receiver.
 #[derive(Debug)]
 pub(crate) struct WireEndpoint {
     /// Frames this endpoint published.
@@ -321,44 +291,87 @@ pub(crate) struct WireEndpoint {
     /// (borrowed out with `std::mem::take`, handed back after the frame is
     /// built, so steady-state publishes reuse its capacity).
     pub scratch_runs: Vec<(u32, u32)>,
-    /// Delta codec for this endpoint's outgoing clock stream.  Every peer
-    /// receives the identical stream, so one sender baseline serves all.
+    /// Delta codec for this endpoint's outgoing clock stream.  Every
+    /// receiver gets the identical stream, so one sender baseline serves all.
     enc: CompactClock,
     /// False until the first publish: the first frame of a stream carries
     /// its clock in full mode to seed the receivers' baselines.
     started: bool,
-    inner: EndpointInner,
+    /// The open batch message: header placeholder + length-prefixed v2
+    /// frames (empty between flushes).
+    batch: Vec<u8>,
+    batch_frames: u32,
+    batch_payload: u64,
+    /// Scratch one frame (or one out-of-band message) is encoded into before
+    /// it is appended to `batch` (or delivered).
+    frame_buf: Vec<u8>,
+    link: Link,
 }
 
+/// Where an endpoint's messages go.  Both backends deliver the same bytes.
 #[derive(Debug)]
-enum EndpointInner {
-    /// Channel backend: senders to every other node's inbox, this node's own
-    /// inbox, and this node's own replica.
-    Channel {
-        peers: Vec<mpsc::Sender<FrameBatch>>,
-        inbox: mpsc::Receiver<FrameBatch>,
-        replica: Replica,
-        /// Frames published since the last flush.
-        pending: FrameBatch,
-        /// Scratch for sizing the would-be-on-wire delta clock record.
-        clock_scratch: Vec<u8>,
-    },
-    /// Socket backend: one raw TCP stream per replica peer (`TCP_NODELAY`
-    /// set; batching makes the writes large, so Nagle only adds latency).
-    Socket {
-        conns: Vec<TcpStream>,
-        /// The open batch message: header placeholder + encoded v2 frames.
-        batch: Vec<u8>,
-        batch_frames: u32,
-        batch_payload: u64,
-        /// Scratch one frame is encoded into before the length-prefixed
-        /// append to `batch`.
-        frame_buf: Vec<u8>,
-    },
+enum Link {
+    /// One shared `Arc<[u8]>` per message into every node's inbox.
+    Channel(Box<ChannelLink>),
+    /// One raw TCP stream per replica peer (`TCP_NODELAY` set; batching
+    /// makes the writes large, so Nagle only adds latency).
+    Socket { conns: Vec<TcpStream> },
+}
+
+/// A message in a channel inbox: the sending node and the framed bytes.
+type Delivery = (usize, Arc<[u8]>);
+
+/// The channel side of one node: its senders into every node's inbox (its
+/// own included), its inbox, and the full replica it rebuilds from it.
+#[derive(Debug)]
+struct ChannelLink {
+    me: usize,
+    inboxes: Vec<mpsc::Sender<Delivery>>,
+    inbox: mpsc::Receiver<Delivery>,
+    replica: Replica,
+    /// Receive side of every sender's delta clock stream, by node.
+    codecs: Vec<CompactClock>,
+}
+
+impl ChannelLink {
+    /// Applies every message delivered to this node so far.
+    fn drain(&mut self) {
+        while let Ok((from, msg)) = self.inbox.try_recv() {
+            let (kind, body) = split_msg(&msg).expect("channel message is one framed message");
+            self.replica
+                .intake(&mut self.codecs[from], kind, body)
+                .expect("channel replica rejected a message");
+        }
+    }
+}
+
+impl Link {
+    /// Delivers one framed message to every receiver; returns how many
+    /// received it.
+    fn deliver(&mut self, msg: &[u8]) -> u64 {
+        match self {
+            Link::Channel(ch) => {
+                let msg: Arc<[u8]> = Arc::from(msg);
+                for inbox in &ch.inboxes {
+                    inbox
+                        .send((ch.me, Arc::clone(&msg)))
+                        .expect("peer inbox closed mid-run");
+                }
+                ch.inboxes.len() as u64
+            }
+            Link::Socket { conns } => {
+                for conn in conns.iter_mut() {
+                    conn.write_all(msg)
+                        .expect("replica peer connection lost mid-run");
+                }
+                conns.len() as u64
+            }
+        }
+    }
 }
 
 impl WireEndpoint {
-    fn new(inner: EndpointInner) -> Box<Self> {
+    fn new(link: Link) -> Box<Self> {
         Box::new(WireEndpoint {
             frames_sent: 0,
             wire_bytes_payload: 0,
@@ -373,7 +386,11 @@ impl WireEndpoint {
             scratch_runs: Vec::new(),
             enc: CompactClock::new(),
             started: false,
-            inner,
+            batch: Vec::new(),
+            batch_frames: 0,
+            batch_payload: 0,
+            frame_buf: Vec::new(),
+            link,
         })
     }
 
@@ -382,7 +399,7 @@ impl WireEndpoint {
         self.wire_bytes_payload + self.wire_bytes_meta
     }
 
-    /// Buffers one publish for replication: region-absolute changed-byte
+    /// Encodes one publish into the open batch: region-absolute changed-byte
     /// `runs` of `data`, totally ordered within the region by `seq` (dense,
     /// 1-based).  `clock` is the publisher's vector-clock entries (empty
     /// under EC).  Nothing moves until [`WireEndpoint::flush`].
@@ -397,198 +414,87 @@ impl WireEndpoint {
         self.frames_sent += 1;
         let full = !self.started;
         self.started = true;
-        let mut overflow = false;
-        match &mut self.inner {
-            EndpointInner::Channel {
-                peers,
-                pending,
-                clock_scratch,
-                ..
-            } => {
-                // Account the exact v2 wire form (the Arc handoff itself
-                // moves no bytes): delta clock record + frame meta + payload,
-                // per receiver, plus this frame's batch length prefix.
-                clock_scratch.clear();
-                let clock_rec = self.enc.encode_next(clock, full, clock_scratch);
-                let payload_len: usize = runs.iter().map(|&(_, len)| len as usize).sum();
-                let meta = frame_v2_meta_len(region, seq, clock_rec, runs);
-                let receivers = peers.len() as u64 + 1;
-                let framed_meta = (varint_len((meta + payload_len) as u64) + meta) as u64;
-                self.wire_bytes_meta += framed_meta * receivers;
-                self.wire_bytes_payload += payload_len as u64 * receivers;
-                let mut payload = Vec::with_capacity(payload_len);
-                for &(off, len) in runs {
-                    payload.extend_from_slice(&data[off as usize..(off + len) as usize]);
-                }
-                pending.push(Arc::new(WireFrame {
-                    region,
-                    seq,
-                    clock: clock.to_vec(),
-                    runs: runs.to_vec(),
-                    payload,
-                }));
-            }
-            EndpointInner::Socket {
-                batch,
-                batch_frames,
-                batch_payload,
-                frame_buf,
-                ..
-            } => {
-                frame_buf.clear();
-                let (_, payload) = encode_frame_v2(
-                    &FrameV2 {
-                        region,
-                        seq,
-                        clock,
-                        full,
-                        runs,
-                        data,
-                    },
-                    &mut self.enc,
-                    frame_buf,
-                );
-                if batch.is_empty() {
-                    begin_batch(batch);
-                }
-                put_varint(batch, frame_buf.len() as u64);
-                batch.extend_from_slice(frame_buf);
-                *batch_frames += 1;
-                *batch_payload += payload as u64;
-                overflow = batch.len() >= SOCKET_BATCH_LIMIT;
-            }
+        self.frame_buf.clear();
+        let (_, payload) = encode_frame_v2(
+            &FrameV2 {
+                region,
+                seq,
+                clock,
+                full,
+                runs,
+                data,
+            },
+            &mut self.enc,
+            &mut self.frame_buf,
+        );
+        if self.batch.is_empty() {
+            begin_batch(&mut self.batch);
         }
-        if overflow {
+        put_varint(&mut self.batch, self.frame_buf.len() as u64);
+        self.batch.extend_from_slice(&self.frame_buf);
+        self.batch_frames += 1;
+        self.batch_payload += payload as u64;
+        if self.batch.len() >= BATCH_LIMIT {
             self.flush();
         }
     }
 
     /// Broadcasts one engine control payload (opaque bytes) to every replica,
-    /// immediately — control frames bypass the epoch batch so they never
-    /// perturb the data plane's coalescing accounting.  Replicas do not apply
-    /// the payload; they count it and fold it into an order-independent
-    /// XOR-FNV fingerprint that [`Transport::finish`] verifies against the
-    /// senders' totals, proving every replica observed every broadcast.
+    /// immediately.  Replicas do not apply the payload; they count it and
+    /// fold it into an order-independent XOR-FNV fingerprint that
+    /// [`Transport::finish`] verifies against the senders' totals, proving
+    /// every replica observed every broadcast.
     pub fn send_ctrl(&mut self, payload: &[u8]) {
-        self.ctrl_sent += 1;
-        self.ctrl_fnv ^= fnv64(payload);
-        self.send_oob(CTRL_REGION, WireMsgKind::Ctrl, self.ctrl_sent, payload);
+        tally(&mut self.ctrl_sent, &mut self.ctrl_fnv, payload);
+        self.send_oob(WireMsgKind::Ctrl, payload);
     }
 
-    /// Ships one encoded [`dsm_mem::CkptImage`] to every replica,
-    /// immediately (checkpoints cut at barrier boundaries must not wait in
-    /// an epoch batch).  Replicas validate, count and fingerprint the image
-    /// — it is the crash-recovery escrow, verified like control broadcasts.
+    /// Ships one encoded [`CkptImage`] to every replica, immediately
+    /// (checkpoints cut at barrier boundaries must not wait in an epoch
+    /// batch).  Replicas validate, count and fingerprint the image — it is
+    /// the crash-recovery escrow, verified like control broadcasts.
     pub fn send_ckpt(&mut self, payload: &[u8]) {
-        self.ckpt_sent += 1;
-        self.ckpt_fnv ^= fnv64(payload);
-        self.send_oob(CKPT_REGION, WireMsgKind::Ckpt, self.ckpt_sent, payload);
+        tally(&mut self.ckpt_sent, &mut self.ckpt_fnv, payload);
+        self.send_oob(WireMsgKind::Ckpt, payload);
     }
 
     /// Announces to every replica that this node rolled back to its last
     /// checkpoint and is replaying (its republished frames follow under
     /// fresh sequences).
     pub fn send_rollback(&mut self, payload: &[u8]) {
-        self.rollback_sent += 1;
-        self.rollback_fnv ^= fnv64(payload);
-        self.send_oob(
-            ROLLBACK_REGION,
-            WireMsgKind::Rollback,
-            self.rollback_sent,
-            payload,
-        );
+        tally(&mut self.rollback_sent, &mut self.rollback_fnv, payload);
+        self.send_oob(WireMsgKind::Rollback, payload);
     }
 
-    /// Shared delivery path of the out-of-band (non-data) frame kinds:
-    /// bypasses the epoch batch so they never perturb the data plane's
-    /// coalescing accounting, and costs one message per receiver
-    /// (u32 length prefix + kind byte + body).
-    fn send_oob(&mut self, region: u32, kind: WireMsgKind, seq: u64, payload: &[u8]) {
-        match &mut self.inner {
-            EndpointInner::Channel { peers, replica, .. } => {
-                let frame = Arc::new(WireFrame {
-                    region,
-                    seq,
-                    clock: Vec::new(),
-                    runs: Vec::new(),
-                    payload: payload.to_vec(),
-                });
-                self.wire_bytes_meta += (payload.len() as u64 + 5) * (peers.len() as u64 + 1);
-                for peer in peers.iter() {
-                    peer.send(vec![Arc::clone(&frame)])
-                        .expect("peer inbox closed mid-run");
-                }
-                replica.offer(frame);
-            }
-            EndpointInner::Socket { conns, .. } => {
-                // Written directly to each stream; the open data batch (if
-                // any) is still unsent, so the message simply precedes it on
-                // the wire — replicas treat out-of-band frames as order-free.
-                for conn in conns.iter_mut() {
-                    write_msg(conn, kind, payload).expect("replica peer connection lost mid-run");
-                }
-                self.wire_bytes_meta += (payload.len() as u64 + 5) * conns.len() as u64;
-            }
-        }
+    /// Shared delivery path of the out-of-band (non-data) message kinds:
+    /// one message per receiver, ahead of the still-open data batch (if
+    /// any), so they never perturb the data plane's coalescing accounting.
+    /// Replicas treat them as order-free.
+    fn send_oob(&mut self, kind: WireMsgKind, payload: &[u8]) {
+        self.frame_buf.clear();
+        write_msg(&mut self.frame_buf, kind, payload).expect("out-of-band payload fits a message");
+        let receivers = self.link.deliver(&self.frame_buf);
+        self.wire_bytes_meta += self.frame_buf.len() as u64 * receivers;
     }
 
-    /// Delivers everything buffered since the last flush: one batch message
-    /// per peer (one channel send, or one `write_all` per socket).  The
-    /// engines call this at each epoch boundary; a flush with nothing
-    /// pending only drains the inbox (channel) or is a no-op (socket).
+    /// Delivers the open batch, if any: one channel send per node, or one
+    /// `write_all` per socket.  The engines call this at each epoch
+    /// boundary.  A channel endpoint then applies whatever its inbox holds.
     pub fn flush(&mut self) {
-        match &mut self.inner {
-            EndpointInner::Channel {
-                peers,
-                inbox,
-                replica,
-                pending,
-                ..
-            } => {
-                if !pending.is_empty() {
-                    self.frames_coalesced += pending.len() as u64 - 1;
-                    self.wire_bytes_meta +=
-                        wire::BATCH_HEADER_LEN as u64 * (peers.len() as u64 + 1);
-                    for peer in peers.iter() {
-                        peer.send(pending.clone())
-                            .expect("peer inbox closed mid-run");
-                    }
-                    for f in pending.drain(..) {
-                        replica.offer(f);
-                    }
-                }
-                // Absorb whatever peers have flushed so far; the rest is
-                // drained after the run, when every send is join-ordered
-                // before the drain.
-                while let Ok(batch) = inbox.try_recv() {
-                    for f in batch {
-                        replica.offer(f);
-                    }
-                }
-            }
-            EndpointInner::Socket {
-                conns,
-                batch,
-                batch_frames,
-                batch_payload,
-                ..
-            } => {
-                if *batch_frames == 0 {
-                    return;
-                }
-                finish_batch(batch, *batch_frames);
-                for conn in conns.iter_mut() {
-                    conn.write_all(batch)
-                        .expect("replica peer connection lost mid-run");
-                }
-                let nconns = conns.len() as u64;
-                self.wire_bytes_meta += (batch.len() as u64 - *batch_payload) * nconns;
-                self.wire_bytes_payload += *batch_payload * nconns;
-                self.frames_coalesced += *batch_frames as u64 - 1;
-                batch.clear();
-                *batch_frames = 0;
-                *batch_payload = 0;
-            }
+        if self.batch_frames > 0 {
+            finish_batch(&mut self.batch, self.batch_frames);
+            let receivers = self.link.deliver(&self.batch);
+            self.wire_bytes_meta += (self.batch.len() as u64 - self.batch_payload) * receivers;
+            self.wire_bytes_payload += self.batch_payload * receivers;
+            self.frames_coalesced += self.batch_frames as u64 - 1;
+            self.batch.clear();
+            self.batch_frames = 0;
+            self.batch_payload = 0;
+        }
+        if let Link::Channel(ch) = &mut self.link {
+            // Apply what has arrived so far; the rest is drained after the
+            // run, when every send is join-ordered before the drain.
+            ch.drain();
         }
     }
 }
@@ -644,30 +550,70 @@ fn empty_report(backend: &'static str, master: &[Vec<u8>]) -> TransportReport {
     }
 }
 
-/// Folds one finished endpoint's counters into the report.
-fn absorb_endpoint(report: &mut TransportReport, ep: &WireEndpoint) {
-    report.frames_sent += ep.frames_sent;
-    report.wire_bytes_payload += ep.wire_bytes_payload;
-    report.wire_bytes_meta += ep.wire_bytes_meta;
-    report.wire_bytes += ep.wire_bytes();
-    report.frames_coalesced += ep.frames_coalesced;
-    report.ctrl_frames += ep.ctrl_sent;
-    report.ckpt_frames += ep.ckpt_sent;
-    report.rollback_frames += ep.rollback_sent;
+/// The out-of-band totals every replica must match, as `(count, fnv)` pairs
+/// for control broadcasts, checkpoint images and rollback notices.  Which
+/// endpoint sent each one is timing-dependent, but the totals are not.
+type OobTotals = [(u64, u64); 3];
+
+/// Flushes every endpoint and folds its counters into a fresh report.
+/// Returns the report and the out-of-band totals the replicas are checked
+/// against.
+fn settle(
+    backend: &'static str,
+    endpoints: &mut [WireEndpoint],
+    master: &[Vec<u8>],
+) -> (TransportReport, OobTotals) {
+    // Flush every endpoint before draining any replica: a replica's stream
+    // is complete only once all of its senders have flushed.
+    for ep in endpoints.iter_mut() {
+        ep.flush();
+    }
+    let mut report = empty_report(backend, master);
+    let mut oob = [(0, 0); 3];
+    for ep in endpoints.iter() {
+        report.frames_sent += ep.frames_sent;
+        report.wire_bytes_payload += ep.wire_bytes_payload;
+        report.wire_bytes_meta += ep.wire_bytes_meta;
+        report.wire_bytes += ep.wire_bytes();
+        report.frames_coalesced += ep.frames_coalesced;
+        report.ctrl_frames += ep.ctrl_sent;
+        report.ckpt_frames += ep.ckpt_sent;
+        report.rollback_frames += ep.rollback_sent;
+        oob[0] = (oob[0].0 + ep.ctrl_sent, oob[0].1 ^ ep.ctrl_fnv);
+        oob[1] = (oob[1].0 + ep.ckpt_sent, oob[1].1 ^ ep.ckpt_fnv);
+        oob[2] = (oob[2].0 + ep.rollback_sent, oob[2].1 ^ ep.rollback_fnv);
+    }
+    (report, oob)
 }
 
-/// The out-of-band totals a set of finished endpoints implies, as
-/// `(count, fnv)` pairs for control broadcasts, checkpoint images and
-/// rollback notices: every replica must have received each count of frames
-/// with the matching order-independent XOR-FNV fingerprint.  Which endpoint
-/// sent each one is timing-dependent, but the totals are not.
-fn expected_oob(endpoints: &[WireEndpoint]) -> [(u64, u64); 3] {
-    endpoints.iter().fold([(0, 0); 3], |mut acc, ep| {
-        acc[0] = (acc[0].0 + ep.ctrl_sent, acc[0].1 ^ ep.ctrl_fnv);
-        acc[1] = (acc[1].0 + ep.ckpt_sent, acc[1].1 ^ ep.ckpt_fnv);
-        acc[2] = (acc[2].0 + ep.rollback_sent, acc[2].1 ^ ep.rollback_fnv);
-        acc
-    })
+/// Checks one replica's end-of-run report against the engines' master
+/// copies and the senders' out-of-band totals, then counts it into
+/// `report`.  Both real backends verify every replica with this.
+///
+/// Panics on any mismatch — that is a transport bug, never a legal outcome.
+fn verify_replica(report: &mut TransportReport, oob: &OobTotals, replica: &WireReport) {
+    let backend = report.backend;
+    assert_eq!(
+        replica.contents_fnv, report.master_fnv,
+        "{backend} replica diverged from the engines' master copies"
+    );
+    assert_eq!(
+        (replica.ctrl_frames, replica.ctrl_fnv),
+        oob[0],
+        "{backend} replica missed an engine control broadcast"
+    );
+    assert_eq!(
+        (replica.ckpt_frames, replica.ckpt_fnv),
+        oob[1],
+        "{backend} replica missed a checkpoint image"
+    );
+    assert_eq!(
+        (replica.rollback_frames, replica.rollback_fnv),
+        oob[2],
+        "{backend} replica missed a rollback notice"
+    );
+    report.frames_applied += replica.frames_applied;
+    report.replicas_verified += 1;
 }
 
 /// The default backend: no endpoints, no replication, no bytes.  Publishes
@@ -691,38 +637,27 @@ impl Transport for SimulatedTransport {
 }
 
 /// In-process channel backend: every node owns a full replica and an inbox;
-/// a flush `Arc`-clones the epoch's frames into every other node's inbox in
-/// one send.
+/// a flush hands the epoch's batch message, as one shared `Arc<[u8]>`, to
+/// every node's inbox in one send each.
 #[derive(Debug)]
 struct ChannelTransport {
     endpoints: Vec<Option<Box<WireEndpoint>>>,
 }
 
-/// One node's frame channel: the sender peers clone, the node's own inbox.
-type BatchChannel = (mpsc::Sender<FrameBatch>, mpsc::Receiver<FrameBatch>);
-
 impl ChannelTransport {
     fn new(nprocs: usize, init: &[Vec<u8>]) -> Self {
-        let channels: Vec<BatchChannel> = (0..nprocs).map(|_| mpsc::channel()).collect();
-        let senders: Vec<mpsc::Sender<FrameBatch>> =
-            channels.iter().map(|(tx, _)| tx.clone()).collect();
-        let endpoints = channels
+        let (inboxes, receivers): (Vec<_>, Vec<_>) = (0..nprocs).map(|_| mpsc::channel()).unzip();
+        let endpoints = receivers
             .into_iter()
             .enumerate()
-            .map(|(p, (_, inbox))| {
-                let peers = senders
-                    .iter()
-                    .enumerate()
-                    .filter(|&(q, _)| q != p)
-                    .map(|(_, tx)| tx.clone())
-                    .collect();
-                Some(WireEndpoint::new(EndpointInner::Channel {
-                    peers,
+            .map(|(me, inbox)| {
+                Some(WireEndpoint::new(Link::Channel(Box::new(ChannelLink {
+                    me,
+                    inboxes: inboxes.clone(),
                     inbox,
                     replica: Replica::new(init),
-                    pending: Vec::new(),
-                    clock_scratch: Vec::new(),
-                }))
+                    codecs: (0..nprocs).map(|_| CompactClock::new()).collect(),
+                }))))
             })
             .collect();
         ChannelTransport { endpoints }
@@ -739,52 +674,20 @@ impl Transport for ChannelTransport {
     }
 
     fn finish(&mut self, mut endpoints: Vec<WireEndpoint>, master: &[Vec<u8>]) -> TransportReport {
-        // Flush every endpoint before draining any replica: a replica's
-        // inbox is complete only once all of its peers have flushed.
-        for ep in endpoints.iter_mut() {
-            ep.flush();
-        }
-        let [ctrl, ckpt, rollback] = expected_oob(&endpoints);
-        let mut report = empty_report(self.label(), master);
+        let (mut report, oob) = settle(self.label(), &mut endpoints, master);
         for ep in endpoints {
-            absorb_endpoint(&mut report, &ep);
-            let EndpointInner::Channel {
-                inbox, mut replica, ..
-            } = ep.inner
-            else {
+            let Link::Channel(mut ch) = ep.link else {
                 unreachable!("channel transport only hands out channel endpoints");
             };
             // Every worker thread has been joined, so every send
             // happens-before this drain: the inbox holds the complete
-            // remainder of the run's frames.
-            while let Ok(batch) = inbox.try_recv() {
-                for f in batch {
-                    replica.offer(f);
-                }
-            }
-            assert!(replica.drained(), "replica is missing publish frames");
-            assert_eq!(
-                replica.fnv(),
-                report.master_fnv,
-                "channel replica diverged from the engines' master copies"
-            );
-            assert_eq!(
-                (replica.ctrl_frames, replica.ctrl_fnv),
-                ctrl,
-                "channel replica missed an engine control broadcast"
-            );
-            assert_eq!(
-                (replica.ckpt_frames, replica.ckpt_fnv),
-                ckpt,
-                "channel replica missed a checkpoint image"
-            );
-            assert_eq!(
-                (replica.rollback_frames, replica.rollback_fnv),
-                rollback,
-                "channel replica missed a rollback notice"
-            );
-            report.frames_applied += replica.frames_applied;
-            report.replicas_verified += 1;
+            // remainder of the run's messages.
+            ch.drain();
+            let replica = ch
+                .replica
+                .finish()
+                .expect("channel replica is missing publish frames");
+            verify_replica(&mut report, &oob, &replica);
         }
         report
     }
@@ -856,13 +759,7 @@ impl SocketTransport {
                         conn
                     })
                     .collect();
-                Some(WireEndpoint::new(EndpointInner::Socket {
-                    conns,
-                    batch: Vec::new(),
-                    batch_frames: 0,
-                    batch_payload: 0,
-                    frame_buf: Vec::new(),
-                }))
+                Some(WireEndpoint::new(Link::Socket { conns }))
             })
             .collect();
         SocketTransport {
@@ -883,16 +780,10 @@ impl Transport for SocketTransport {
     }
 
     fn finish(&mut self, mut endpoints: Vec<WireEndpoint>, master: &[Vec<u8>]) -> TransportReport {
-        let mut report = empty_report(self.label(), master);
-        // Flush any leftover batch, then close every node stream cleanly:
-        // Fin, drop.
-        for ep in endpoints.iter_mut() {
-            ep.flush();
-        }
-        let [ctrl, ckpt, rollback] = expected_oob(&endpoints);
+        let (mut report, oob) = settle(self.label(), &mut endpoints, master);
+        // Close every node stream cleanly: Fin, drop.
         for ep in endpoints {
-            absorb_endpoint(&mut report, &ep);
-            let EndpointInner::Socket { mut conns, .. } = ep.inner else {
+            let Link::Socket { mut conns } = ep.link else {
                 unreachable!("socket transport only hands out socket endpoints");
             };
             for conn in conns.iter_mut() {
@@ -901,32 +792,11 @@ impl Transport for SocketTransport {
         }
         // Every peer now sees nprocs Fins and reports back.
         let mut body = Vec::new();
-        for control in self.controls.drain(..) {
-            let mut control = control;
+        for mut control in self.controls.drain(..) {
             let kind = read_msg(&mut control, &mut body).expect("read peer report");
             assert_eq!(kind, Some(WireMsgKind::Report), "peer sent a non-report");
             let peer = WireReport::decode(&body).expect("malformed peer report");
-            assert_eq!(
-                peer.contents_fnv, report.master_fnv,
-                "socket replica diverged from the engines' master copies"
-            );
-            assert_eq!(
-                (peer.ctrl_frames, peer.ctrl_fnv),
-                ctrl,
-                "socket replica missed an engine control broadcast"
-            );
-            assert_eq!(
-                (peer.ckpt_frames, peer.ckpt_fnv),
-                ckpt,
-                "socket replica missed a checkpoint image"
-            );
-            assert_eq!(
-                (peer.rollback_frames, peer.rollback_fnv),
-                rollback,
-                "socket replica missed a rollback notice"
-            );
-            report.frames_applied += peer.frames_applied;
-            report.replicas_verified += 1;
+            verify_replica(&mut report, &oob, &peer);
         }
         for server in self.servers.drain(..) {
             server
@@ -945,13 +815,14 @@ impl Transport for SocketTransport {
 /// Protocol: every inbound connection announces its role with one byte —
 /// `C` for the single control connection, which immediately carries an
 /// `Init` message (number of node streams to expect, initial region
-/// images), or `N` for a node stream carrying `Batch` (or legacy `Frame`)
-/// messages and a final `Fin`.  One reader thread serves each node stream
-/// end to end: it owns the stream's receive-side [`CompactClock`] baseline
-/// (the delta clock records of a stream replay against it in order) and a
-/// reusable message buffer, reads through a [`io::BufReader`], and applies
-/// decoded frames straight into the shared replica under a mutex — no
-/// cross-thread handoff, no per-message allocation (payload buffers come
+/// images), or `N` for a node stream carrying `Batch`, `Ctrl`, `Ckpt` and
+/// `Rollback` messages and a final `Fin`.  One reader thread serves each
+/// node stream end to end: it owns the stream's receive-side
+/// [`CompactClock`] baseline (the delta clock records of a stream replay
+/// against it in order) and a reusable message buffer, reads through a
+/// [`io::BufReader`], and hands each message to the shared replica under a
+/// mutex — the same intake the channel backend's replicas use, with no
+/// cross-thread handoff and no per-message allocation (payload buffers come
 /// from the replica's [`BufferPool`], which recycles applied frames).  Once
 /// every node stream has finished, the peer writes its [`WireReport`]
 /// (contents fingerprint, frames applied, bytes received) back on the
@@ -963,8 +834,6 @@ impl Transport for SocketTransport {
 /// message, unexpected disconnect) or a frame arrives for an unknown
 /// region's sequence that never completes.
 pub fn serve_transport_peer(listener: TcpListener) -> io::Result<()> {
-    let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
-
     // Accept the control connection (with its Init) and the node streams, in
     // whatever order they arrive.
     let mut control: Option<TcpStream> = None;
@@ -1013,45 +882,8 @@ pub fn serve_transport_peer(listener: TcpListener) -> io::Result<()> {
                     let mut conn = io::BufReader::new(conn);
                     loop {
                         match read_msg(&mut conn, &mut body)? {
-                            Some(WireMsgKind::Batch) => {
-                                let mut r = sync_lock(replica);
-                                r.note_received(body.len() as u64 + 5);
-                                let mut frames = BatchReader::new(&body)
-                                    .ok_or_else(|| bad("batch lacks a frame count"))?;
-                                while frames.remaining() > 0 {
-                                    let frame = frames
-                                        .next(&mut codec, &mut r.pool)
-                                        .ok_or_else(|| bad("malformed frame in batch"))?;
-                                    r.offer(Arc::new(frame));
-                                }
-                                if !frames.finished() {
-                                    return Err(bad("trailing bytes after the last batch frame"));
-                                }
-                            }
-                            Some(WireMsgKind::Frame) => {
-                                let frame = WireFrame::decode(&body)
-                                    .ok_or_else(|| bad("malformed frame"))?;
-                                let mut r = sync_lock(replica);
-                                r.note_received(body.len() as u64 + 5);
-                                r.offer(Arc::new(frame));
-                            }
-                            Some(WireMsgKind::Ctrl) => {
-                                let mut r = sync_lock(replica);
-                                r.note_received(body.len() as u64 + 5);
-                                r.take_ctrl(&body);
-                            }
-                            Some(WireMsgKind::Ckpt) => {
-                                let mut r = sync_lock(replica);
-                                r.note_received(body.len() as u64 + 5);
-                                r.take_ckpt(&body);
-                            }
-                            Some(WireMsgKind::Rollback) => {
-                                let mut r = sync_lock(replica);
-                                r.note_received(body.len() as u64 + 5);
-                                r.take_rollback(&body);
-                            }
                             Some(WireMsgKind::Fin) | None => return Ok(()),
-                            Some(_) => return Err(bad("unexpected message on a node stream")),
+                            Some(kind) => sync_lock(replica).intake(&mut codec, kind, &body)?,
                         }
                     }
                 })
@@ -1063,12 +895,12 @@ pub fn serve_transport_peer(listener: TcpListener) -> io::Result<()> {
         Ok(())
     })?;
 
-    let replica = replica.into_inner().expect("readers joined cleanly");
-    if !replica.drained() {
-        return Err(bad("stream ended with frames waiting on missing sequences"));
-    }
+    let report = replica
+        .into_inner()
+        .expect("readers joined cleanly")
+        .finish()?;
     body.clear();
-    replica.report().encode_into(&mut body);
+    report.encode_into(&mut body);
     write_msg(&mut control, WireMsgKind::Report, &body)?;
     Ok(())
 }
@@ -1083,14 +915,13 @@ fn sync_lock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 mod tests {
     use super::*;
 
-    fn frame(region: u32, seq: u64, off: u32, byte: u8) -> Arc<WireFrame> {
-        Arc::new(WireFrame {
+    fn frame(region: u32, seq: u64, off: u32, byte: u8) -> WireFrame {
+        WireFrame {
             region,
             seq,
-            clock: vec![],
             runs: vec![(off, 1)],
             payload: vec![byte],
-        })
+        }
     }
 
     #[test]
@@ -1099,13 +930,12 @@ mod tests {
         let mut r = Replica::new(&init);
         // Region 0's seq 2 must wait for seq 1; region 1 is independent.
         r.offer(frame(0, 2, 1, 22));
-        assert_eq!(r.frames_applied, 0);
-        assert!(!r.drained());
+        assert_eq!(r.tally.frames_applied, 0);
+        assert!(r.finish().is_err(), "seq 2 waits on seq 1");
         r.offer(frame(1, 1, 0, 9));
-        assert_eq!(r.frames_applied, 1);
+        assert_eq!(r.tally.frames_applied, 1);
         r.offer(frame(0, 1, 0, 11));
-        assert_eq!(r.frames_applied, 3);
-        assert!(r.drained());
+        assert_eq!(r.tally.frames_applied, 3);
         assert_eq!(r.regions[0][..2], [11, 22]);
         assert_eq!(r.regions[1][0], 9);
         let expect = {
@@ -1115,16 +945,29 @@ mod tests {
             m[1][0] = 9;
             fnv64_regions(m.iter().map(|x| x.as_slice()))
         };
-        assert_eq!(r.fnv(), expect);
+        assert_eq!(r.finish().expect("drained").contents_fnv, expect);
     }
 
     #[test]
     fn replica_recycles_applied_payload_buffers() {
         let mut r = Replica::new(&[vec![0u8; 8]]);
-        // Uniquely-owned frames donate their payloads back to the pool.
+        // Applied frames donate their payloads back to the pool.
         r.offer(frame(0, 1, 0, 1));
         r.offer(frame(0, 2, 1, 2));
         assert_eq!(r.pool.idle(), 2);
+    }
+
+    #[test]
+    fn replica_intake_rejects_malformed_messages() {
+        let mut r = Replica::new(&[vec![0u8; 8]]);
+        let mut codec = CompactClock::new();
+        let mut take = |kind, body: &[u8]| r.intake(&mut codec, kind, body).is_ok();
+        assert!(!take(WireMsgKind::Batch, &[1, 0]), "no frame count");
+        assert!(!take(WireMsgKind::Batch, &[1, 0, 0, 0]), "missing frame");
+        assert!(!take(WireMsgKind::Ckpt, &[9]), "image does not decode");
+        assert!(!take(WireMsgKind::Init, &[]), "not a node-stream kind");
+        assert!(take(WireMsgKind::Ctrl, &[7]), "control bodies are opaque");
+        assert_eq!((r.tally.ctrl_frames, r.tally.ctrl_fnv), (1, fnv64(&[7])));
     }
 
     #[test]
@@ -1146,7 +989,8 @@ mod tests {
         master[0][8] = 9;
         b.publish(0, 2, &[1, 1], &[(8, 1)], &master[0]);
         assert_eq!(a.frames_sent, 1);
-        assert!(a.wire_bytes() > 0, "accounted at publish");
+        assert_eq!(a.wire_bytes(), 0, "nothing moves before the flush");
+        a.flush();
         assert_eq!(a.wire_bytes_payload, 4 * 2, "4 payload bytes × 2 receivers");
         let report = t.finish(vec![*a, *b], &master);
         assert_eq!(report.backend, "channel");

@@ -344,14 +344,6 @@ impl CompactClock {
         out.len() - start
     }
 
-    /// Encoded size of the record [`CompactClock::encode_next`] would append
-    /// for `entries` — without advancing the baseline.
-    pub fn peek_record_len(&mut self, entries: &[u32], full: bool) -> usize {
-        let base: &[u32] = if full { &[] } else { &self.baseline };
-        self.scratch.compute(base, entries);
-        varint_len(entries.len() as u64) + self.scratch.encoded_len()
-    }
-
     /// Decodes one clock record from the front of `buf`, advancing the
     /// baseline to the decoded clock (readable via
     /// [`CompactClock::baseline`]).  Returns the bytes consumed, or `None`
@@ -492,16 +484,7 @@ mod tests {
         let clocks: [&[u32]; 4] = [&[0, 0, 0], &[1, 0, 0], &[2, 5, 1], &[2, 5, 1]];
         let mut buf = Vec::new();
         for (i, c) in clocks.iter().enumerate() {
-            let full = i == 0;
-            assert_eq!(enc.peek_record_len(c, full), {
-                let mut probe = Vec::new();
-                let mut again = CompactClock::new();
-                again
-                    .baseline
-                    .extend_from_slice(if full { &[] } else { clocks[i - 1] });
-                again.encode_next(c, full, &mut probe)
-            });
-            enc.encode_next(c, full, &mut buf);
+            enc.encode_next(c, i == 0, &mut buf);
         }
         let mut at = 0;
         for (i, c) in clocks.iter().enumerate() {

@@ -4,9 +4,9 @@
 //! accounting.  The real backends (in-process channels, sockets) move actual
 //! bytes, and this module is the dependency-free codec they move them with.
 //! Everything is little-endian and encoded straight from the flat payload +
-//! run-offset representation the data plane already keeps ([`Diff`],
-//! [`FlatUpdate`], [`VectorClock`]): encoding is a header write plus one
-//! payload `memcpy` per record, never a tree walk.
+//! run-offset representation the data plane already keeps ([`FlatUpdate`],
+//! [`VectorClock`], the engines' run tables): encoding is a header write plus
+//! one payload `memcpy` per record, never a tree walk.
 //!
 //! # Record layouts (all integers little-endian)
 //!
@@ -14,9 +14,7 @@
 //! |----------------|--------------------------------------------------------------------|
 //! | message        | `u32 len` · `u8 kind` · `body[len-1]`                              |
 //! | `VectorClock`  | `u32 n` · `n × u32 entry`                                          |
-//! | `Diff`         | `u8 gran` · `u32 nruns` · `nruns × (u32 off, u32 len)` · payload   |
 //! | `FlatUpdate`   | `u32 nruns` · `nruns × (u32 start, u32 len, u64 stamp)`            |
-//! | [`WireFrame`]  | `u32 region` · `u64 seq` · clock · `u32 nruns` · runs · payload    |
 //! | frame v2       | varints: `region` · `seq` · `u8 mode` · clock record · runs · payload |
 //! | batch body     | `u32 nframes` · `nframes × (varint len, frame v2)`                 |
 //! | [`WireInit`]   | `u32 nprocs` · `u32 nregions` · `nregions × (u32 len, bytes)`      |
@@ -26,8 +24,9 @@
 //! backends batch per epoch: the clock travels as a [`CompactClock`] delta
 //! record against the stream's previous clock (`mode` 1 = encoded from the
 //! all-zero clock, required on the first frame of a stream), and run offsets
-//! are gap-encoded varints.  The v1 [`WireFrame`] record stays as the
-//! stateless per-frame form (and the simulated backend's cost model).
+//! are gap-encoded varints.  It is the only frame encoding: both real
+//! backends ship the same batch messages, and a decoded frame is a
+//! [`WireFrame`].
 //!
 //! Malformed input decodes to `None` (in-memory records) or
 //! `io::ErrorKind::InvalidData` (streamed messages); a corrupt peer must not
@@ -35,8 +34,8 @@
 
 use std::io::{self, Read, Write};
 
-use crate::cclock::{get_varint, put_varint, varint_len, CompactClock};
-use crate::{BlockGranularity, BufferPool, Diff, FlatRun, FlatUpdate, VectorClock};
+use crate::cclock::{get_varint, put_varint, CompactClock};
+use crate::{BufferPool, FlatRun, FlatUpdate, VectorClock};
 use dsm_sim::NodeId;
 
 /// Upper bound on one framed message, as a sanity check against corrupt
@@ -86,10 +85,6 @@ impl<'a> Reader<'a> {
         let s = self.buf.get(self.at..end)?;
         self.at = end;
         Some(s)
-    }
-
-    fn u8(&mut self) -> Option<u8> {
-        self.take(1).map(|s| s[0])
     }
 
     fn u32(&mut self) -> Option<u32> {
@@ -142,41 +137,6 @@ fn decode_vclock_from(r: &mut Reader<'_>) -> Option<VectorClock> {
     Some(clock)
 }
 
-/// Appends the wire encoding of a diff to `out`: granularity code, run
-/// table, then the flat payload in one `extend_from_slice` per run.
-pub fn encode_diff(diff: &Diff, out: &mut Vec<u8>) {
-    out.push(diff.granularity().wire_code());
-    put_u32(out, diff.runs().len() as u32);
-    for run in diff.runs() {
-        put_u32(out, run.offset as u32);
-        put_u32(out, run.len() as u32);
-    }
-    for run in diff.runs() {
-        out.extend_from_slice(run.data);
-    }
-}
-
-/// Decodes a diff; returns the diff and the bytes consumed.
-pub fn decode_diff(buf: &[u8]) -> Option<(Diff, usize)> {
-    let mut r = Reader::new(buf);
-    let granularity = BlockGranularity::from_wire_code(r.u8()?)?;
-    let nruns = r.u32()? as usize;
-    if nruns > MAX_WIRE_MSG / 8 {
-        return None;
-    }
-    let mut runs = Vec::with_capacity(nruns);
-    let mut payload_len = 0usize;
-    for _ in 0..nruns {
-        let offset = r.u32()?;
-        let len = r.u32()?;
-        payload_len = payload_len.checked_add(len as usize)?;
-        runs.push((offset, len));
-    }
-    let payload = r.take(payload_len)?.to_vec();
-    let diff = Diff::from_wire_parts(&runs, payload, granularity)?;
-    Some((diff, r.at))
-}
-
 /// Appends the wire encoding of a flattened update snapshot to `out`.
 pub fn encode_flat_update(update: &FlatUpdate, out: &mut Vec<u8>) {
     put_u32(out, update.runs().len() as u32);
@@ -204,21 +164,17 @@ pub fn decode_flat_update(buf: &[u8]) -> Option<(FlatUpdate, usize)> {
     Some((FlatUpdate::from_wire_runs(runs), r.at))
 }
 
-/// One replicated publish: the bytes one publish event wrote into a region's
-/// master copy, plus the per-region sequence number that totally orders it.
-///
-/// Frames carry the publisher's vector clock (empty under EC, which has no
-/// vector time) — deliberately, because the O(nprocs) clock record is exactly
-/// the per-message overhead the 256-node transport sweep measures.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+/// One decoded publish frame: the bytes one publish event wrote into a
+/// region's master copy, plus the per-region sequence number that totally
+/// orders it.  This is what [`decode_frame_v2`] yields and what a replica's
+/// reorder buffer holds until the frame's turn comes.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WireFrame {
     /// Dense index of the region the frame belongs to.
     pub region: u32,
     /// Per-region publish sequence number (1-based, dense): a replica applies
     /// frames of a region strictly in `seq` order.
     pub seq: u64,
-    /// The publisher's vector-clock entries at publish time (may be empty).
-    pub clock: Vec<u32>,
     /// Changed-byte runs as region-absolute `(offset, len)` pairs, in
     /// increasing offset order.
     pub runs: Vec<(u32, u32)>,
@@ -227,71 +183,6 @@ pub struct WireFrame {
 }
 
 impl WireFrame {
-    /// Length of the encoded frame body in bytes.
-    pub fn encoded_len(&self) -> usize {
-        4 + 8 + (4 + self.clock.len() * 4) + 4 + self.runs.len() * 8 + self.payload.len()
-    }
-
-    /// Appends the encoded frame body to `out`.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        out.reserve(self.encoded_len());
-        put_u32(out, self.region);
-        put_u64(out, self.seq);
-        put_u32(out, self.clock.len() as u32);
-        for &e in &self.clock {
-            put_u32(out, e);
-        }
-        put_u32(out, self.runs.len() as u32);
-        for &(offset, len) in &self.runs {
-            put_u32(out, offset);
-            put_u32(out, len);
-        }
-        out.extend_from_slice(&self.payload);
-    }
-
-    /// Decodes a frame body; the buffer must contain exactly one frame.
-    pub fn decode(buf: &[u8]) -> Option<WireFrame> {
-        let mut r = Reader::new(buf);
-        let region = r.u32()?;
-        let seq = r.u64()?;
-        let nclock = r.u32()? as usize;
-        if nclock > MAX_WIRE_MSG / 4 {
-            return None;
-        }
-        let mut clock = Vec::with_capacity(nclock);
-        for _ in 0..nclock {
-            clock.push(r.u32()?);
-        }
-        let nruns = r.u32()? as usize;
-        if nruns > MAX_WIRE_MSG / 8 {
-            return None;
-        }
-        let mut runs = Vec::with_capacity(nruns);
-        let mut payload_len = 0usize;
-        let mut prev_end = 0u64;
-        for _ in 0..nruns {
-            let offset = r.u32()?;
-            let len = r.u32()?;
-            if len == 0 || (offset as u64) < prev_end {
-                return None;
-            }
-            prev_end = offset as u64 + len as u64;
-            payload_len = payload_len.checked_add(len as usize)?;
-            runs.push((offset, len));
-        }
-        let payload = r.take(payload_len)?.to_vec();
-        if !r.done() {
-            return None;
-        }
-        Some(WireFrame {
-            region,
-            seq,
-            clock,
-            runs,
-            payload,
-        })
-    }
-
     /// Copies the frame's runs into a region-sized buffer.  Returns `false`
     /// (leaving a suffix unapplied) if a run falls outside the region.
     pub fn apply(&self, region: &mut [u8]) -> bool {
@@ -314,8 +205,6 @@ impl WireFrame {
 pub enum WireMsgKind {
     /// Replica bootstrap: cluster shape and initial region contents.
     Init = 0,
-    /// One [`WireFrame`].
-    Frame = 1,
     /// End of stream from one sender; no body.
     Fin = 2,
     /// Replica's end-of-run [`WireReport`].
@@ -341,7 +230,6 @@ impl WireMsgKind {
     fn from_code(code: u8) -> Option<Self> {
         match code {
             0 => Some(WireMsgKind::Init),
-            1 => Some(WireMsgKind::Frame),
             2 => Some(WireMsgKind::Fin),
             3 => Some(WireMsgKind::Report),
             4 => Some(WireMsgKind::Batch),
@@ -417,26 +305,6 @@ pub fn encode_frame_v2(
     (meta, out.len() - start - meta)
 }
 
-/// Meta bytes [`encode_frame_v2`] would append for a frame with this shape —
-/// everything except the payload — given the clock record's encoded size
-/// (see [`CompactClock::peek_record_len`]).  Lets the channel backend
-/// account exact would-be wire bytes without serializing.
-pub fn frame_v2_meta_len(
-    region: u32,
-    seq: u64,
-    clock_record_len: usize,
-    runs: &[(u32, u32)],
-) -> usize {
-    let mut n = varint_len(region as u64) + varint_len(seq) + 1 + clock_record_len;
-    n += varint_len(runs.len() as u64);
-    let mut prev_end = 0u64;
-    for &(off, len) in runs {
-        n += varint_len(off as u64 - prev_end) + varint_len(len as u64);
-        prev_end = off as u64 + len as u64;
-    }
-    n
-}
-
 /// Decodes one v2 frame body (the buffer must contain exactly one frame),
 /// advancing `codec`'s baseline.  The payload buffer is drawn from `pool`
 /// so a replica's read loop recycles instead of allocating per frame.
@@ -489,7 +357,6 @@ pub fn decode_frame_v2(
     Some(WireFrame {
         region,
         seq,
-        clock: codec.baseline().to_vec(),
         runs,
         payload,
     })
@@ -618,7 +485,8 @@ pub struct WireReport {
     pub contents_fnv: u64,
     /// Frames the replica applied.
     pub frames_applied: u64,
-    /// Payload bytes the replica received (encoded frame bodies).
+    /// Framed message bytes the replica received on node streams (length
+    /// prefixes and kind bytes included).
     pub bytes_received: u64,
     /// [`WireMsgKind::Ctrl`] messages the replica received.
     pub ctrl_frames: u64,
@@ -713,6 +581,18 @@ pub fn read_msg(r: &mut impl Read, body: &mut Vec<u8>) -> io::Result<Option<Wire
     Ok(Some(kind))
 }
 
+/// Splits one whole framed message held in memory — the bytes
+/// [`write_msg`] or [`finish_batch`] produce — into its kind and body.
+/// `None` if the length prefix disagrees with the buffer or the kind byte is
+/// unknown.
+pub fn split_msg(msg: &[u8]) -> Option<(WireMsgKind, &[u8])> {
+    let len = u32::from_le_bytes(msg.get(..4)?.try_into().expect("4 bytes")) as usize;
+    if len == 0 || len != msg.len() - 4 {
+        return None;
+    }
+    Some((WireMsgKind::from_code(msg[4])?, &msg[5..]))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -739,23 +619,6 @@ mod tests {
         let (back, used) = decode_vclock(&buf).expect("decodes");
         assert_eq!(back, c);
         assert_eq!(used, buf.len());
-    }
-
-    #[test]
-    fn diff_round_trip_preserves_apply() {
-        let twin = vec![0u8; 64];
-        let mut cur = twin.clone();
-        cur[4..16].fill(7);
-        cur[40..44].fill(9);
-        let d = Diff::from_compare(&twin, &cur, 0, BlockGranularity::Word);
-        let mut buf = Vec::new();
-        encode_diff(&d, &mut buf);
-        let (back, used) = decode_diff(&buf).expect("decodes");
-        assert_eq!(used, buf.len());
-        assert_eq!(back, d);
-        let mut target = vec![0u8; 64];
-        back.apply(&mut target);
-        assert_eq!(target, cur);
     }
 
     #[test]
@@ -825,22 +688,36 @@ mod tests {
 
     #[test]
     fn frame_round_trip_and_apply() {
-        let f = WireFrame {
-            region: 2,
-            seq: 17,
-            clock: vec![1, 0, 4],
-            runs: vec![(0, 4), (8, 8)],
-            payload: vec![1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12],
-        };
+        let data: Vec<u8> = (1..=16).collect();
         let mut buf = Vec::new();
-        f.encode_into(&mut buf);
-        assert_eq!(buf.len(), f.encoded_len());
-        let back = WireFrame::decode(&buf).expect("decodes");
-        assert_eq!(back, f);
+        encode_frame_v2(
+            &FrameV2 {
+                region: 2,
+                seq: 17,
+                clock: &[1, 0, 4],
+                full: true,
+                runs: &[(0, 4), (8, 8)],
+                data: &data,
+            },
+            &mut CompactClock::new(),
+            &mut buf,
+        );
+        let mut dec = CompactClock::new();
+        let back = decode_frame_v2(&buf, &mut dec, &mut BufferPool::new()).expect("decodes");
+        assert_eq!(
+            back,
+            WireFrame {
+                region: 2,
+                seq: 17,
+                runs: vec![(0, 4), (8, 8)],
+                payload: vec![1, 2, 3, 4, 9, 10, 11, 12, 13, 14, 15, 16],
+            }
+        );
+        assert_eq!(dec.baseline(), [1, 0, 4], "the clock rides the codec");
         let mut region = vec![0u8; 16];
         assert!(back.apply(&mut region));
         assert_eq!(&region[0..4], &[1, 2, 3, 4]);
-        assert_eq!(&region[8..16], &[5, 6, 7, 8, 9, 10, 11, 12]);
+        assert_eq!(&region[8..16], &data[8..16]);
         // A run past the end of the region is rejected, not a panic.
         let mut short = vec![0u8; 8];
         assert!(!back.apply(&mut short));
@@ -848,31 +725,27 @@ mod tests {
 
     #[test]
     fn frame_decode_rejects_malformed_input() {
-        let f = WireFrame {
-            region: 0,
-            seq: 1,
-            clock: vec![],
-            runs: vec![(0, 4)],
-            payload: vec![1, 2, 3, 4],
-        };
-        let mut buf = Vec::new();
-        f.encode_into(&mut buf);
-        assert!(
-            WireFrame::decode(&buf[..buf.len() - 1]).is_none(),
-            "truncated"
-        );
-        let mut extra = buf.clone();
-        extra.push(0);
-        assert!(WireFrame::decode(&extra).is_none(), "trailing garbage");
-        // Overlapping runs are rejected.
-        let bad = WireFrame {
-            runs: vec![(8, 8), (0, 4)],
-            payload: vec![0; 12],
-            ..WireFrame::default()
-        };
-        let mut bbuf = Vec::new();
-        bad.encode_into(&mut bbuf);
-        assert!(WireFrame::decode(&bbuf).is_none(), "unsorted runs");
+        // Hand-built one-run frames: the well-formed control decodes; a
+        // zero-length run and a run ending past a u32 offset are run tables
+        // the encoder never writes, and the decoder refuses them.
+        let mut pool = BufferPool::new();
+        for (gap, len, ok) in [
+            (0u64, 2u64, true),
+            (0, 0, false),
+            (u32::MAX as u64, 2, false),
+        ] {
+            let mut buf = Vec::new();
+            put_varint(&mut buf, 0); // region
+            put_varint(&mut buf, 1); // seq
+            buf.push(CLOCK_MODE_FULL);
+            CompactClock::new().encode_next(&[], true, &mut buf);
+            put_varint(&mut buf, 1); // nruns
+            put_varint(&mut buf, gap);
+            put_varint(&mut buf, len);
+            buf.resize(buf.len() + len as usize, 0);
+            let back = decode_frame_v2(&buf, &mut CompactClock::new(), &mut pool);
+            assert_eq!(back.is_some(), ok, "gap {gap} len {len}");
+        }
     }
 
     #[test]
@@ -927,6 +800,15 @@ mod tests {
             None,
             "clean EOF"
         );
+        // The same bytes split in memory, one whole message at a time.
+        let (first, fin) = stream.split_at(4 + 1 + 3);
+        assert_eq!(
+            split_msg(first),
+            Some((WireMsgKind::Init, &[1u8, 2, 3][..]))
+        );
+        assert_eq!(split_msg(fin), Some((WireMsgKind::Fin, &[][..])));
+        assert_eq!(split_msg(&stream), None, "two messages are not one");
+        assert_eq!(split_msg(&first[..6]), None, "truncated");
     }
 
     #[test]
@@ -963,21 +845,6 @@ mod tests {
                 &mut frame_buf,
             );
             assert_eq!(meta + payload, frame_buf.len());
-            assert_eq!(
-                meta,
-                frame_v2_meta_len(
-                    *region,
-                    *seq,
-                    {
-                        let mut probe = CompactClock::new();
-                        if i > 0 {
-                            probe.encode_next(&frames[i - 1].2, true, &mut Vec::new());
-                        }
-                        probe.peek_record_len(clock, i == 0)
-                    },
-                    runs
-                )
-            );
             put_varint(&mut batch, frame_buf.len() as u64);
             batch.extend_from_slice(&frame_buf);
         }
@@ -998,7 +865,7 @@ mod tests {
             let f = reader.next(&mut dec, &mut pool).expect("frame decodes");
             assert_eq!(f.region, *region);
             assert_eq!(f.seq, *seq);
-            assert_eq!(&f.clock, clock);
+            assert_eq!(dec.baseline(), clock.as_slice());
             assert_eq!(&f.runs, runs);
             let expect: Vec<u8> = runs
                 .iter()
@@ -1116,15 +983,17 @@ mod tests {
         let zero = 0u32.to_le_bytes().to_vec();
         let mut body = Vec::new();
         assert!(read_msg(&mut &zero[..], &mut body).is_err());
-        // Unknown kind byte.
-        let mut unk = Vec::new();
-        unk.extend_from_slice(&1u32.to_le_bytes());
-        unk.push(99);
-        assert!(read_msg(&mut &unk[..], &mut body).is_err());
+        // Unknown kind bytes, including the retired v1 frame's code 1.
+        for code in [1u8, 99] {
+            let mut unk = Vec::new();
+            unk.extend_from_slice(&1u32.to_le_bytes());
+            unk.push(code);
+            assert!(read_msg(&mut &unk[..], &mut body).is_err(), "kind {code}");
+        }
         // Truncated body.
         let mut trunc = Vec::new();
         trunc.extend_from_slice(&10u32.to_le_bytes());
-        trunc.push(WireMsgKind::Frame as u8);
+        trunc.push(WireMsgKind::Batch as u8);
         trunc.extend_from_slice(&[0, 0]);
         assert!(read_msg(&mut &trunc[..], &mut body).is_err());
     }

@@ -55,7 +55,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Warm-up epochs: enough to fill the publish-history and diff rings
-/// (`diff_ring` = 64), the twin pool, and the first 1024-entry reservation
+/// (`DIFF_RING` = 64), the twin pool, and the first 1024-entry reservation
 /// of the interval log.
 const WARMUP: usize = 1200;
 /// Armed window: stays well inside the interval log's second reservation

@@ -28,13 +28,26 @@ fn contents_deterministic(app: App) -> bool {
     !matches!(app, App::Water | App::Quicksort)
 }
 
+/// True if `app` sends the same frames with the same bytes on every run.
+/// IS, Water and Quicksort contend for locks, so under LRC the grant order
+/// decides the vector clocks each frame carries (and under EC-time the
+/// Quicksort task queue decides how frames coalesce): their wire metadata
+/// legitimately differs between two runs.
+fn traffic_deterministic(app: App) -> bool {
+    !matches!(app, App::IntegerSort | App::Water | App::Quicksort)
+}
+
 /// Runs `app` under `kind` on the simulated, channel and socket backends.
+/// Where the traffic is deterministic, both real backends must also move the
+/// same frames and, per receiving replica, the same payload and metadata
+/// bytes: they ship one wire encoding.
 fn assert_backends_agree(app: App, kind: ImplKind, nprocs: usize) {
     let base = run_app(app, kind, nprocs, Scale::Tiny);
     assert!(base.verified, "{app}/{kind}: simulated run not verified");
     assert_eq!(base.wire.backend, "sim");
     assert_eq!(base.wire.replicas_verified, 0);
 
+    let mut per_receiver = Vec::new();
     for transport in [TransportKind::Channel, TransportKind::SocketLocal(2)] {
         let label = transport.label();
         let r = run_app_on(app, kind, nprocs, Scale::Tiny, transport);
@@ -60,6 +73,20 @@ fn assert_backends_agree(app: App, kind: ImplKind, nprocs: usize) {
                 "{app}/{kind} over {label}: final contents differ from simulated"
             );
         }
+        let receivers = r.wire.replicas_verified as u64;
+        per_receiver.push((
+            r.wire.frames_sent,
+            r.wire.frames_coalesced,
+            r.wire.wire_bytes_payload / receivers,
+            r.wire.wire_bytes_meta / receivers,
+        ));
+    }
+    if traffic_deterministic(app) {
+        assert_eq!(
+            per_receiver[0], per_receiver[1],
+            "{app}/{kind}: channel and socket disagree on per-receiver \
+             (frames, coalesced, payload bytes, meta bytes)"
+        );
     }
 }
 
