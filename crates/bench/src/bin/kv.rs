@@ -21,8 +21,10 @@
 //! Emits one JSON object per line; `BENCH_kv.json` at the repo root records
 //! the trajectory across commits.  Every row carries `p50_ns`/`p99_ns`/
 //! `p999_ns` (per op when `lat_unit` is `"op"`, per critical-section batch
-//! when `"batch"`) and `ops_per_sec`.  A final verdict row reports the best
-//! read-mostly throughput seen.
+//! when `"batch"`) and `ops_per_sec`; channel rows add the wire's
+//! `frames_sent` and `frames_coalesced`, and the bin asserts that every
+//! channel row coalesced.  A final verdict row reports the best read-mostly
+//! throughput seen.
 //!
 //! Usage: `cargo run --release -p dsm-bench --bin kv [-- --scale tiny|small|paper --procs N --impls NAME,...]`
 //! (`--procs` is ignored: the bin sweeps its own processor counts.)
@@ -32,16 +34,16 @@ use std::time::Instant;
 
 use dsm_apps::Scale;
 use dsm_bench::{print_json_header, HarnessOpts, LatencyHistogram};
-use dsm_core::{BarrierId, Dsm, DsmConfig, ImplKind, TransportKind};
+use dsm_core::{BarrierId, Dsm, DsmConfig, ImplKind, TransportKind, TransportReport};
 use dsm_kvservice::workload::{KeySampler, MixSpec, XorShift64};
 use dsm_kvservice::{KvConfig, KvScratch, KvStats, KvStore, ReadConsistency};
 
 /// Ops per critical-section batch on the batched (fast-path) rows.
 const BATCH: usize = 64;
 
-/// Ops per processor between barriers: the barrier closes the wire epoch,
-/// bounding how many publish frames the channel transport buffers under the
-/// EC family's barrier-flushed coalescing.
+/// Ops per processor between barriers: the barrier closes the wire epoch of
+/// every protocol family, bounding how many publish frames the channel
+/// transport buffers before it sends them as one batch per receiver.
 const OPS_PER_BARRIER: usize = 4096;
 
 /// The bench's store shape: 16 shards x 2048 slots, 4-word values.  The key
@@ -86,6 +88,7 @@ struct RowOut {
     wall_ms: f64,
     lat: LatencyHistogram,
     stats: KvStats,
+    wire: TransportReport,
 }
 
 /// Runs one closed-loop point: every processor replays its own seeded trace
@@ -111,7 +114,7 @@ fn run_point(p: &Point, per_proc: usize) -> RowOut {
     let batch = p.batch;
     let barrier_chunks = OPS_PER_BARRIER.div_ceil(batch);
     let start = Instant::now();
-    dsm.run(|ctx| {
+    let result = dsm.run(|ctx| {
         let me = ctx.node() as u64;
         // Distinct stream per (processor, mix, distribution) so rows do not
         // replay one another's traces; identical `per_proc` keeps the
@@ -147,17 +150,28 @@ fn run_point(p: &Point, per_proc: usize) -> RowOut {
         wall_ms,
         lat: lat_mx.into_inner().unwrap(),
         stats: stats_mx.into_inner().unwrap(),
+        wire: result.wire,
     }
 }
 
 fn print_row(p: &Point, scale_name: &str, out: &RowOut) {
     let s = &out.stats;
+    // Channel rows also report the wire: frames sent, and how many of them
+    // rode a batch an earlier frame of the same epoch had opened.
+    let wire = if p.backend == "channel" {
+        format!(
+            ",\"frames_sent\":{},\"frames_coalesced\":{}",
+            out.wire.frames_sent, out.wire.frames_coalesced
+        )
+    } else {
+        String::new()
+    };
     println!(
         "{{\"bench\":\"kv\",\"impl\":\"{}\",\"backend\":\"{}\",\"scale\":\"{}\",\
          \"procs\":{},\"mix\":\"{}\",\"dist\":\"{}\",\"reads\":\"{}\",\
          \"batch\":{},\"lat_unit\":\"{}\",\"ops\":{},\"wall_ms\":{:.3},\
          \"ops_per_sec\":{:.0},{},\"gets\":{},\"hits\":{},\"puts\":{},\
-         \"cas_ok\":{},\"cas_miss\":{},\"deletes\":{}}}",
+         \"cas_ok\":{},\"cas_miss\":{},\"deletes\":{}{}}}",
         p.kind.name(),
         p.backend,
         scale_name,
@@ -180,6 +194,7 @@ fn print_row(p: &Point, scale_name: &str, out: &RowOut) {
         s.cas_ok,
         s.cas_miss,
         s.deletes,
+        wire,
     );
 }
 
@@ -299,6 +314,17 @@ fn main() {
         assert!(
             !out.lat.is_empty() && out.lat.quantile(0.99) > 0,
             "{} {} {}p {}: empty latency histogram",
+            p.kind,
+            p.backend,
+            p.procs,
+            p.mix.name
+        );
+        // Every mix writes, so a channel row publishes many frames per
+        // epoch, and the barrier sends each epoch as one batch per
+        // receiver: some frames must have ridden an already-open batch.
+        assert!(
+            p.backend != "channel" || out.wire.frames_coalesced > 0,
+            "{} {} {}p {}: no epoch coalescing happened",
             p.kind,
             p.backend,
             p.procs,

@@ -91,9 +91,12 @@ struct Point<'a> {
 
 fn print_row(p: &Point<'_>, scale_name: &str, iters: usize, result: &RunResult, wall_ms: f64) {
     let publishes = result.wire.frames_sent;
+    // Host cores: every node is an OS thread, so a row with more nodes than
+    // cores is oversubscribed and its wall clock reads accordingly.
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!(
         "{{\"bench\":\"scaling_transport\",\"impl\":\"{}\",\"backend\":\"{}\",\
-         \"scale\":\"{}\",\"nodes\":{},\"peers\":{},\"epochs\":{},\
+         \"scale\":\"{}\",\"nproc\":{},\"nodes\":{},\"peers\":{},\"epochs\":{},\
          \"elems\":{},\"words_per_page\":{},\
          \"frames_sent\":{},\"frames_coalesced\":{},\"wire_bytes\":{},\
          \"wire_bytes_payload\":{},\"wire_bytes_meta\":{},\"replicas_verified\":{},\
@@ -101,6 +104,7 @@ fn print_row(p: &Point<'_>, scale_name: &str, iters: usize, result: &RunResult, 
         p.kind.name(),
         p.backend,
         scale_name,
+        nproc,
         p.nodes,
         p.peers,
         iters,

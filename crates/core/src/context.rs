@@ -450,6 +450,12 @@ impl<'a> ProcessContext<'a> {
 
         // Model-specific arrival work (LRC: end the current interval).
         let arrival_payload = self.global.engine.barrier_arrive(&mut self.local);
+        // The barrier is the wire epoch of every protocol family: the frames
+        // this node published since the last barrier move now, as one batch
+        // per receiver, before the rendezvous.
+        if let Some(w) = self.local.wire.as_deref_mut() {
+            w.flush();
+        }
         let old_vector = self.local.vector.clone();
 
         let mut arrive_t = self.local.clock.now();

@@ -582,13 +582,12 @@ impl ProtocolEngine for EcEngine {
 
         // Hand the run table back to the endpoint and the endpoint back to
         // the node.  The release's frames stay in the endpoint's epoch batch:
-        // they move at the next barrier arrival (or at the transport's final
-        // flush), so a lock-churning epoch pays one send per peer instead of
-        // one per release.  Replica correctness does not depend on when the
+        // they move at the next barrier (or at the transport's final flush),
+        // so a lock-churning epoch pays one send per peer instead of one per
+        // release.  Replica correctness does not depend on when the
         // batch goes out — frames are totally ordered per region by their
-        // `publish_gen` sequence and replicas reorder on arrival — and the
-        // socket backend still flushes early if a pathological epoch outgrows
-        // its batch buffer.
+        // `publish_gen` sequence and replicas reorder on arrival — and an
+        // endpoint still flushes early if an epoch outgrows its batch limit.
         if let Some(w) = wire.as_deref_mut() {
             let mut runs = std::mem::take(&mut col.wire_runs);
             runs.clear();
@@ -597,14 +596,11 @@ impl ProtocolEngine for EcEngine {
         local.wire = wire;
     }
 
-    fn barrier_arrive(&self, local: &mut NodeLocal) -> usize {
-        // EC barriers exchange no data — consistency travels with locks —
-        // but they are the wire's epoch boundary: every grant frame the
-        // epoch's releases buffered moves here as one batch per peer, the
-        // same begin/finish batching the LRC interval flush gets.
-        if let Some(w) = local.wire.as_deref_mut() {
-            w.flush();
-        }
+    fn barrier_arrive(&self, _local: &mut NodeLocal) -> usize {
+        // EC barriers exchange no data — consistency travels with locks.
+        // The grant frames the epoch's releases buffered still move at the
+        // barrier: `ProcessContext::barrier` closes the wire epoch for every
+        // protocol family alike.
         CTRL_MSG_BYTES
     }
 

@@ -140,7 +140,9 @@ impl<P: DataPolicy> LrcEngine<P> {
     /// Ends the current interval: for every page dirtied since the last
     /// release/barrier, record the modifications in the shared store,
     /// register a write notice, and let the policy move the data (a no-op for
-    /// homeless LRC, an eager home flush for HLRC).
+    /// homeless LRC, an eager home flush for HLRC).  Under a real transport
+    /// each published page also appends one frame to the endpoint's open
+    /// batch, which the next barrier sends.
     fn publish_interval(&self, local: &mut NodeLocal) {
         if local.dirty_pages.is_empty() {
             return;
@@ -397,11 +399,9 @@ impl<P: DataPolicy> LrcEngine<P> {
         }
         local.scratch_clock = pub_clock;
         local.vector.bump(me);
-        // Epoch boundary: everything this interval published moves in one
-        // batch per peer.
-        if let Some(w) = wire.as_deref_mut() {
-            w.flush();
-        }
+        // Ending an interval moves no data: its frames stay in the
+        // endpoint's open batch until the barrier closes the wire epoch, so
+        // a lock-churning epoch pays one send per peer, not one per release.
         local.wire = wire;
     }
 

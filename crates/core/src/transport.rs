@@ -12,9 +12,11 @@
 //! as a v2 frame (see [`dsm_mem::wire::encode_frame_v2`]) into one open batch
 //! message: vector clocks travel as [`CompactClock`] delta records against
 //! the stream's previous clock, so ordering metadata scales with what
-//! changed, not with nprocs.  The engines call [`WireEndpoint::flush`] once
-//! per publish event (at each **epoch boundary**, after the region locks are
-//! released), and the flush delivers the batch's bytes:
+//! changed, not with nprocs.  A release only appends its frames to the open
+//! batch; the **barrier is the wire epoch** of every protocol family:
+//! `ProcessContext::barrier` calls [`WireEndpoint::flush`] once, after the
+//! engine's arrival work and before the rendezvous, and the flush delivers
+//! the batch's bytes:
 //!
 //! * [`TransportKind::Channel`] — every simulated processor is a
 //!   message-passing OS thread with one full replica; the batch goes, as one
@@ -27,8 +29,10 @@
 //!   (`SocketRemote`, see [`serve_transport_peer`]).
 //!
 //! On the receive side one replica intake decodes every message of both
-//! backends, and one check verifies every replica's end-of-run report.  Wire
-//! bytes are measured from the delivered messages, summed over receivers.
+//! backends, applying each frame whose turn has come straight from the
+//! message bytes, and one check verifies every replica's end-of-run report.
+//! Wire bytes are measured from the delivered messages, summed over
+//! receivers.
 //!
 //! Cost accounting is transport-independent: the simulated clocks and
 //! statistics are charged identically under every backend, so simulated
@@ -43,7 +47,7 @@ use std::sync::{mpsc, Arc};
 
 use dsm_mem::wire::{
     begin_batch, encode_frame_v2, finish_batch, fnv64, fnv64_regions, read_msg, split_msg,
-    write_msg, BatchReader, FrameV2, WireFrame, WireInit, WireMsgKind, WireReport,
+    write_msg, BatchReader, FrameV2, FrameView, WireFrame, WireInit, WireMsgKind, WireReport,
 };
 use dsm_mem::{put_varint, BufferPool, CkptImage, CompactClock};
 use dsm_sim::NodeId;
@@ -145,10 +149,12 @@ fn tally(count: &mut u64, fnv: &mut u64, body: &[u8]) {
 
 /// One replica of the shared regions, rebuilt purely from publish frames.
 ///
-/// Frames of a region are applied strictly in `seq` order; out-of-order
-/// arrivals wait in a per-region reorder buffer.  The per-region sequence
-/// numbers are dense (the engines draw them from the same counter the
-/// publish bumps), so a replica that has seen every frame always drains.
+/// Frames of a region are applied strictly in `seq` order.  A frame whose
+/// turn has come is applied straight from the message bytes it arrived in;
+/// an out-of-order arrival is copied into a per-region reorder buffer until
+/// its predecessors land.  The per-region sequence numbers are dense (the
+/// engines draw them from the same counter the publish bumps), so a replica
+/// that has seen every frame always drains.
 #[derive(Debug)]
 struct Replica {
     regions: Vec<Vec<u8>>,
@@ -159,8 +165,8 @@ struct Replica {
     /// Everything the end-of-run report carries except the contents
     /// fingerprint, which [`Replica::finish`] fills in.
     tally: WireReport,
-    /// Recycles applied frames' payload buffers back to the decode path, so
-    /// steady-state intake stops allocating payloads.
+    /// Payload buffers of buffered frames, recycled once they apply, so a
+    /// stream that keeps arriving out of order stops allocating payloads.
     pool: BufferPool,
 }
 
@@ -179,7 +185,9 @@ impl Replica {
     /// of both real backends.  `codec` is the receive side of that sender's
     /// delta clock stream, so messages of one sender must arrive in order.
     ///
-    /// A `Batch` is decoded and its frames applied as their turns come.
+    /// A `Batch` is decoded frame by frame and each frame is offered to its
+    /// region.  A frame naming an unknown region or reaching past its
+    /// region's end is `InvalidData`, whether or not its turn has come.
     /// Control broadcasts, checkpoint images and rollback notices are not
     /// applied: each is counted and folded into an order-independent XOR-FNV
     /// fingerprint that [`Transport::finish`] checks against the senders'.
@@ -198,9 +206,9 @@ impl Replica {
                     BatchReader::new(body).ok_or_else(|| bad("batch lacks a frame count"))?;
                 while frames.remaining() > 0 {
                     let frame = frames
-                        .next(codec, &mut self.pool)
+                        .next(codec)
                         .ok_or_else(|| bad("malformed frame in batch"))?;
-                    self.offer(frame);
+                    self.offer(frame)?;
                 }
                 if !frames.finished() {
                     return Err(bad("trailing bytes after the last batch frame"));
@@ -219,22 +227,36 @@ impl Replica {
         Ok(())
     }
 
-    /// Accepts a frame, applying it — and any unblocked successors — as soon
-    /// as its region's sequence reaches it.  Applied frames donate their
-    /// payload buffer back to the pool.
-    fn offer(&mut self, frame: WireFrame) {
-        let r = frame.region as usize;
-        assert!(r < self.regions.len(), "frame for unknown region {r}");
-        self.pending[r].insert(frame.seq, frame);
+    /// Accepts one validated frame.  If it is its region's next, it is
+    /// applied from the message bytes and any buffered successors follow;
+    /// otherwise it is copied into the reorder buffer.  The region and run
+    /// bounds are checked first, so a frame that cannot apply is never
+    /// buffered.
+    fn offer(&mut self, frame: FrameView<'_>) -> io::Result<()> {
+        let r = frame.region() as usize;
+        let region = self
+            .regions
+            .get_mut(r)
+            .ok_or_else(|| bad("frame for an unknown region"))?;
+        if frame.end() > region.len() as u64 {
+            return Err(bad("frame run outside its region"));
+        }
+        if frame.seq() != self.applied_seq[r] + 1 {
+            self.pending[r].insert(frame.seq(), frame.to_owned(&mut self.pool));
+            return Ok(());
+        }
+        // Both applies are in bounds: this frame was checked above, and every
+        // buffered frame was checked the same way when it arrived.
+        frame.apply(region);
+        self.applied_seq[r] += 1;
+        self.tally.frames_applied += 1;
         while let Some(f) = self.pending[r].remove(&(self.applied_seq[r] + 1)) {
-            assert!(
-                f.apply(&mut self.regions[r]),
-                "frame run outside region {r}"
-            );
+            f.apply(region);
             self.applied_seq[r] += 1;
             self.tally.frames_applied += 1;
             self.pool.put(f.payload);
         }
+        Ok(())
     }
 
     /// The end-of-run report, once every stream has ended.  Fails if a frame
@@ -250,8 +272,8 @@ impl Replica {
     }
 }
 
-/// Flush the batch buffer early if it outgrows this (pathological epochs
-/// only; normal epochs are a few KiB).
+/// Flush the batch buffer early if it outgrows this, which bounds an
+/// endpoint's memory however much one epoch publishes.
 const BATCH_LIMIT: usize = 4 << 20;
 
 /// A worker thread's handle onto the transport: where its publish frames go.
@@ -259,9 +281,9 @@ const BATCH_LIMIT: usize = 4 << 20;
 /// Owned by the worker's `NodeLocal` for the duration of the run (`None`
 /// under the simulated backend), handed back to the transport's
 /// [`Transport::finish`] afterwards.  Publishes are encoded into one open
-/// batch message; the engines call [`WireEndpoint::flush`] at each epoch
-/// boundary (end of a publish event, after region locks are released), and
-/// the flush delivers the batch's bytes to every receiver.
+/// batch message; every barrier calls [`WireEndpoint::flush`] once, whatever
+/// the protocol family, and the flush delivers the batch's bytes to every
+/// receiver.
 #[derive(Debug)]
 pub(crate) struct WireEndpoint {
     /// Frames this endpoint published.
@@ -478,8 +500,10 @@ impl WireEndpoint {
     }
 
     /// Delivers the open batch, if any: one channel send per node, or one
-    /// `write_all` per socket.  The engines call this at each epoch
-    /// boundary.  A channel endpoint then applies whatever its inbox holds.
+    /// `write_all` per socket.  Called once per barrier (the wire epoch of
+    /// every protocol family), when a batch outgrows its limit, and by
+    /// [`Transport::finish`] for the tail.  A channel endpoint then applies
+    /// whatever its inbox holds.
     pub fn flush(&mut self) {
         if self.batch_frames > 0 {
             finish_batch(&mut self.batch, self.batch_frames);
@@ -822,11 +846,12 @@ impl Transport for SocketTransport {
 /// against it in order) and a reusable message buffer, reads through a
 /// [`io::BufReader`], and hands each message to the shared replica under a
 /// mutex — the same intake the channel backend's replicas use, with no
-/// cross-thread handoff and no per-message allocation (payload buffers come
-/// from the replica's [`BufferPool`], which recycles applied frames).  Once
-/// every node stream has finished, the peer writes its [`WireReport`]
-/// (contents fingerprint, frames applied, bytes received) back on the
-/// control connection.
+/// cross-thread handoff and no per-message allocation (in-order frames
+/// apply straight from the message buffer; an early frame's payload is
+/// copied into a buffer from the replica's [`BufferPool`], which recycles
+/// it once the frame applies).  Once every node stream has finished, the
+/// peer writes its [`WireReport`] (contents fingerprint, frames applied,
+/// bytes received) back on the control connection.
 ///
 /// # Errors
 ///
@@ -915,13 +940,43 @@ fn sync_lock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 mod tests {
     use super::*;
 
-    fn frame(region: u32, seq: u64, off: u32, byte: u8) -> WireFrame {
-        WireFrame {
-            region,
-            seq,
-            runs: vec![(off, 1)],
-            payload: vec![byte],
+    /// One batch message body carrying one single-byte frame per
+    /// `(region, seq, offset, byte)`.  Every frame's (empty) clock is in full
+    /// mode, so any arrival order decodes against any codec state.
+    fn batch(frames: &[(u32, u64, u32, u8)]) -> Vec<u8> {
+        let mut msg = Vec::new();
+        begin_batch(&mut msg);
+        let mut buf = Vec::new();
+        for &(region, seq, off, byte) in frames {
+            let mut data = vec![0u8; off as usize + 1];
+            data[off as usize] = byte;
+            buf.clear();
+            encode_frame_v2(
+                &FrameV2 {
+                    region,
+                    seq,
+                    clock: &[],
+                    full: true,
+                    runs: &[(off, 1)],
+                    data: &data,
+                },
+                &mut CompactClock::new(),
+                &mut buf,
+            );
+            put_varint(&mut msg, buf.len() as u64);
+            msg.extend_from_slice(&buf);
         }
+        finish_batch(&mut msg, frames.len() as u32);
+        msg.split_off(5) // strip the u32 length prefix and the kind byte
+    }
+
+    /// Feeds `frames` to `r`, one batch message each.
+    fn feed(r: &mut Replica, frames: &[(u32, u64, u32, u8)]) -> io::Result<()> {
+        let mut codec = CompactClock::new();
+        for f in frames {
+            r.intake(&mut codec, WireMsgKind::Batch, &batch(&[*f]))?;
+        }
+        Ok(())
     }
 
     #[test]
@@ -929,12 +984,12 @@ mod tests {
         let init = vec![vec![0u8; 8], vec![0u8; 4]];
         let mut r = Replica::new(&init);
         // Region 0's seq 2 must wait for seq 1; region 1 is independent.
-        r.offer(frame(0, 2, 1, 22));
+        feed(&mut r, &[(0, 2, 1, 22)]).expect("well-formed");
         assert_eq!(r.tally.frames_applied, 0);
         assert!(r.finish().is_err(), "seq 2 waits on seq 1");
-        r.offer(frame(1, 1, 0, 9));
+        feed(&mut r, &[(1, 1, 0, 9)]).expect("well-formed");
         assert_eq!(r.tally.frames_applied, 1);
-        r.offer(frame(0, 1, 0, 11));
+        feed(&mut r, &[(0, 1, 0, 11)]).expect("well-formed");
         assert_eq!(r.tally.frames_applied, 3);
         assert_eq!(r.regions[0][..2], [11, 22]);
         assert_eq!(r.regions[1][0], 9);
@@ -949,12 +1004,60 @@ mod tests {
     }
 
     #[test]
+    fn replica_arrival_order_does_not_matter() {
+        // Two regions, interleaved, several frames rewriting the same byte:
+        // only per-region sequence order decides the final contents.
+        let frames: Vec<(u32, u64, u32, u8)> = (1..=6u64)
+            .flat_map(|seq| {
+                [
+                    (0, seq, (seq % 3) as u32, seq as u8),
+                    (1, seq, 2, 40 + seq as u8),
+                ]
+            })
+            .collect();
+        let init = vec![vec![0u8; 8], vec![0u8; 4]];
+
+        let mut forward = Replica::new(&init);
+        let mut codec = CompactClock::new();
+        for f in &frames {
+            forward
+                .intake(&mut codec, WireMsgKind::Batch, &batch(&[*f]))
+                .expect("well-formed");
+            // In order, every frame applies from the message bytes: the
+            // reorder buffer and its buffer pool are never touched.
+            assert!(forward.pending.iter().all(BTreeMap::is_empty));
+            assert_eq!(
+                (
+                    forward.pool.allocated(),
+                    forward.pool.recycled(),
+                    forward.pool.idle()
+                ),
+                (0, 0, 0)
+            );
+        }
+
+        let mut reversed = Replica::new(&init);
+        let backwards: Vec<_> = frames.iter().rev().copied().collect();
+        feed(&mut reversed, &backwards).expect("well-formed");
+        assert!(reversed.pool.allocated() > 0, "reverse order buffers");
+
+        assert_eq!(forward.regions, reversed.regions);
+        assert_eq!(forward.regions[0][..3], [6, 4, 5]);
+        assert_eq!(forward.regions[1][2], 46);
+        let done = forward.finish().expect("drained");
+        assert_eq!(done, reversed.finish().expect("drained"));
+        assert_eq!(done.frames_applied, frames.len() as u64);
+    }
+
+    #[test]
     fn replica_recycles_applied_payload_buffers() {
         let mut r = Replica::new(&[vec![0u8; 8]]);
-        // Applied frames donate their payloads back to the pool.
-        r.offer(frame(0, 1, 0, 1));
-        r.offer(frame(0, 2, 1, 2));
-        assert_eq!(r.pool.idle(), 2);
+        // An early frame is copied into the reorder buffer; once it applies
+        // its payload buffer goes back to the pool for the next early frame.
+        feed(&mut r, &[(0, 2, 1, 2), (0, 1, 0, 1)]).expect("well-formed");
+        assert_eq!((r.pool.allocated(), r.pool.idle()), (1, 1));
+        feed(&mut r, &[(0, 4, 3, 4)]).expect("well-formed");
+        assert_eq!((r.pool.allocated(), r.pool.recycled()), (1, 1));
     }
 
     #[test]
@@ -971,10 +1074,44 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "outside region")]
     fn replica_rejects_out_of_range_runs() {
+        // A frame that decodes but cannot apply is an error at intake, on
+        // the in-order path and on the buffered path alike, and nothing of
+        // it is applied or buffered.
         let mut r = Replica::new(&[vec![0u8; 4]]);
-        r.offer(frame(0, 1, 100, 5));
+        for (frame, what) in [
+            ((0, 1, 100, 5), "in-order run past the region's end"),
+            ((0, 3, 4, 5), "buffered run past the region's end"),
+            ((1, 1, 0, 5), "in-order frame for an unknown region"),
+            ((7, 2, 0, 5), "buffered frame for an unknown region"),
+        ] {
+            let err = feed(&mut r, &[frame]).expect_err(what);
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}");
+        }
+        assert_eq!(r.tally.frames_applied, 0);
+        assert!(r.pending.iter().all(BTreeMap::is_empty));
+        assert_eq!(r.regions[0], [0u8; 4]);
+    }
+
+    #[test]
+    fn replica_intake_never_panics_on_corrupted_batches() {
+        // Whatever a corrupted batch decodes to — a bad region, a run past
+        // the end, a wild sequence number — intake answers with a result.
+        let good = batch(&[(0, 1, 3, 7), (1, 1, 0, 8), (0, 2, 5, 9), (0, 4, 7, 1)]);
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        for _ in 0..512 {
+            let mut body = good.clone();
+            for _ in 0..3 {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                let at = (state % body.len() as u64) as usize;
+                body[at] ^= (state >> 32) as u8 | 1;
+            }
+            let mut r = Replica::new(&[vec![0u8; 8], vec![0u8; 2]]);
+            let _ = r.intake(&mut CompactClock::new(), WireMsgKind::Batch, &body);
+            let _ = r.finish();
+        }
     }
 
     #[test]

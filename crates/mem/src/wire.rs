@@ -25,8 +25,11 @@
 //! record against the stream's previous clock (`mode` 1 = encoded from the
 //! all-zero clock, required on the first frame of a stream), and run offsets
 //! are gap-encoded varints.  It is the only frame encoding: both real
-//! backends ship the same batch messages, and a decoded frame is a
-//! [`WireFrame`].
+//! backends ship the same batch messages.  There is one frame decoder,
+//! [`FrameView::decode`]: it validates a frame in place and yields a view
+//! borrowed from the message bytes, which a replica applies directly when
+//! the frame is next in its region's sequence, and copies into an owned
+//! [`WireFrame`] only when the frame has to wait its turn.
 //!
 //! Malformed input decodes to `None` (in-memory records) or
 //! `io::ErrorKind::InvalidData` (streamed messages); a corrupt peer must not
@@ -166,8 +169,8 @@ pub fn decode_flat_update(buf: &[u8]) -> Option<(FlatUpdate, usize)> {
 
 /// One decoded publish frame: the bytes one publish event wrote into a
 /// region's master copy, plus the per-region sequence number that totally
-/// orders it.  This is what [`decode_frame_v2`] yields and what a replica's
-/// reorder buffer holds until the frame's turn comes.
+/// orders it.  This is what [`FrameView::to_owned`] copies out and what a
+/// replica's reorder buffer holds until the frame's turn comes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WireFrame {
     /// Dense index of the region the frame belongs to.
@@ -305,61 +308,145 @@ pub fn encode_frame_v2(
     (meta, out.len() - start - meta)
 }
 
-/// Decodes one v2 frame body (the buffer must contain exactly one frame),
-/// advancing `codec`'s baseline.  The payload buffer is drawn from `pool`
-/// so a replica's read loop recycles instead of allocating per frame.
+/// One fully validated v2 frame, borrowed from the message bytes it was
+/// decoded from: what [`BatchReader::next`] yields.
+///
+/// Decoding checks everything the wire can get wrong — varint ranges, the
+/// clock record, zero-length or `u32`-overflowing runs, the payload length,
+/// trailing bytes — so a view's runs are non-empty, in increasing offset
+/// order, non-overlapping, below [`FrameView::end`], and their lengths sum
+/// to the payload's.  A replica applies a view whose turn has come straight
+/// from these bytes ([`FrameView::apply`]); only a frame that must wait is
+/// copied out ([`FrameView::to_owned`]).
+#[derive(Debug, Clone, Copy)]
+pub struct FrameView<'a> {
+    region: u32,
+    seq: u64,
+    /// The encoded run table: `nruns × (varint gap, varint len)`.
+    table: &'a [u8],
+    /// End offset of the last run (0 if there is none).
+    end: u64,
+    payload: &'a [u8],
+}
+
+impl<'a> FrameView<'a> {
+    /// Decodes one v2 frame body (the buffer must contain exactly one frame),
+    /// advancing `codec`'s baseline.  `None` on any malformed input.
+    pub fn decode(buf: &'a [u8], codec: &mut CompactClock) -> Option<Self> {
+        let mut at = 0usize;
+        let next = |at: &mut usize| -> Option<u64> {
+            let (v, n) = get_varint(buf.get(*at..)?)?;
+            *at += n;
+            Some(v)
+        };
+        let region = u32::try_from(next(&mut at)?).ok()?;
+        let seq = next(&mut at)?;
+        let mode = *buf.get(at)?;
+        at += 1;
+        let full = match mode {
+            CLOCK_MODE_DELTA => false,
+            CLOCK_MODE_FULL => true,
+            _ => return None,
+        };
+        at += codec.decode_next(buf.get(at..)?, full)?;
+        let nruns = next(&mut at)?;
+        let table_start = at;
+        let mut payload_len = 0usize;
+        let mut end = 0u64;
+        for _ in 0..nruns {
+            let gap = next(&mut at)?;
+            let len = next(&mut at)?;
+            end = end.checked_add(gap)?.checked_add(len)?;
+            if len == 0 || end > u32::MAX as u64 {
+                return None;
+            }
+            payload_len = payload_len.checked_add(len as usize)?;
+        }
+        let table = &buf[table_start..at];
+        let payload = buf.get(at..)?;
+        if payload.len() != payload_len {
+            return None; // truncated payload or trailing garbage
+        }
+        Some(FrameView {
+            region,
+            seq,
+            table,
+            end,
+            payload,
+        })
+    }
+
+    /// Dense index of the region the frame belongs to.
+    pub fn region(&self) -> u32 {
+        self.region
+    }
+
+    /// Per-region publish sequence number.
+    pub fn seq(&self) -> u64 {
+        self.seq
+    }
+
+    /// End offset of the frame's last run: the frame fits a region of at
+    /// least this many bytes.
+    pub fn end(&self) -> u64 {
+        self.end
+    }
+
+    /// Every run's bytes, back to back in run order.
+    pub fn payload(&self) -> &'a [u8] {
+        self.payload
+    }
+
+    /// The region-absolute `(offset, len)` runs, in increasing offset order.
+    pub fn runs(&self) -> impl Iterator<Item = (u32, u32)> + 'a {
+        let mut table = self.table;
+        let mut prev_end = 0u64;
+        std::iter::from_fn(move || {
+            let (gap, n) = get_varint(table)?;
+            let (len, m) = get_varint(&table[n..])?;
+            table = &table[n + m..];
+            let off = prev_end + gap;
+            prev_end = off + len;
+            Some((off as u32, len as u32))
+        })
+    }
+
+    /// Copies the frame's runs into a region-sized buffer.  Returns `false`,
+    /// writing nothing, if the frame reaches past the region's end.
+    pub fn apply(&self, region: &mut [u8]) -> bool {
+        if self.end > region.len() as u64 {
+            return false;
+        }
+        let mut pos = 0usize;
+        for (offset, len) in self.runs() {
+            let (offset, len) = (offset as usize, len as usize);
+            region[offset..offset + len].copy_from_slice(&self.payload[pos..pos + len]);
+            pos += len;
+        }
+        true
+    }
+
+    /// Copies the frame out of the message bytes, drawing the payload buffer
+    /// from `pool` so a replica's reorder buffer recycles instead of
+    /// allocating per frame.
+    pub fn to_owned(&self, pool: &mut BufferPool) -> WireFrame {
+        WireFrame {
+            region: self.region,
+            seq: self.seq,
+            runs: self.runs().collect(),
+            payload: pool.take_copy(self.payload),
+        }
+    }
+}
+
+/// Decodes one v2 frame body into an owned [`WireFrame`] — a
+/// [`FrameView::decode`] followed by [`FrameView::to_owned`].
 pub fn decode_frame_v2(
     buf: &[u8],
     codec: &mut CompactClock,
     pool: &mut BufferPool,
 ) -> Option<WireFrame> {
-    let mut at = 0usize;
-    let next = |at: &mut usize| -> Option<u64> {
-        let (v, n) = get_varint(buf.get(*at..)?)?;
-        *at += n;
-        Some(v)
-    };
-    let region = u32::try_from(next(&mut at)?).ok()?;
-    let seq = next(&mut at)?;
-    let mode = *buf.get(at)?;
-    at += 1;
-    let full = match mode {
-        CLOCK_MODE_DELTA => false,
-        CLOCK_MODE_FULL => true,
-        _ => return None,
-    };
-    at += codec.decode_next(buf.get(at..)?, full)?;
-    let nruns = next(&mut at)?;
-    if nruns as usize > MAX_WIRE_MSG / 2 {
-        return None;
-    }
-    let mut runs = Vec::with_capacity(nruns as usize);
-    let mut payload_len = 0usize;
-    let mut prev_end = 0u64;
-    for _ in 0..nruns {
-        let gap = next(&mut at)?;
-        let len = next(&mut at)?;
-        let off = prev_end.checked_add(gap)?;
-        prev_end = off.checked_add(len)?;
-        if len == 0 || prev_end > u32::MAX as u64 {
-            return None;
-        }
-        payload_len = payload_len.checked_add(len as usize)?;
-        runs.push((off as u32, len as u32));
-    }
-    let end = at.checked_add(payload_len)?;
-    let bytes = buf.get(at..end)?;
-    if end != buf.len() {
-        return None; // trailing garbage
-    }
-    let mut payload = pool.take_empty(payload_len);
-    payload.extend_from_slice(bytes);
-    Some(WireFrame {
-        region,
-        seq,
-        runs,
-        payload,
-    })
+    FrameView::decode(buf, codec).map(|v| v.to_owned(pool))
 }
 
 /// Byte length of the batch message header [`begin_batch`] reserves:
@@ -414,16 +501,17 @@ impl<'a> BatchReader<'a> {
         self.remaining
     }
 
-    /// Decodes the next frame, or `None` if the batch is exhausted *or*
-    /// malformed (distinguish with [`BatchReader::remaining`]).
-    pub fn next(&mut self, codec: &mut CompactClock, pool: &mut BufferPool) -> Option<WireFrame> {
+    /// Decodes the next frame, borrowed from the batch body, or `None` if the
+    /// batch is exhausted *or* malformed (distinguish with
+    /// [`BatchReader::remaining`]).
+    pub fn next(&mut self, codec: &mut CompactClock) -> Option<FrameView<'a>> {
         if self.remaining == 0 {
             return None;
         }
         let (flen, n) = get_varint(self.buf.get(self.at..)?)?;
         let flen = usize::try_from(flen).ok().filter(|&l| l <= MAX_WIRE_MSG)?;
         let start = self.at + n;
-        let frame = decode_frame_v2(self.buf.get(start..start + flen)?, codec, pool)?;
+        let frame = FrameView::decode(self.buf.get(start..start.checked_add(flen)?)?, codec)?;
         self.at = start + flen;
         self.remaining -= 1;
         Some(frame)
@@ -721,6 +809,17 @@ mod tests {
         // A run past the end of the region is rejected, not a panic.
         let mut short = vec![0u8; 8];
         assert!(!back.apply(&mut short));
+        // The borrowed view is the same frame: it applies to the same bytes
+        // in place and refuses, writing nothing, a region one byte short.
+        let view = FrameView::decode(&buf, &mut CompactClock::new()).expect("decodes");
+        assert_eq!((view.region(), view.seq(), view.end()), (2, 17, 16));
+        assert_eq!(view.to_owned(&mut BufferPool::new()), back);
+        let mut direct = vec![0u8; 16];
+        assert!(view.apply(&mut direct));
+        assert_eq!(direct, region);
+        let mut short = vec![0u8; 15];
+        assert!(!view.apply(&mut short));
+        assert_eq!(short, [0u8; 15]);
     }
 
     #[test]
@@ -858,23 +957,22 @@ mod tests {
             Some(WireMsgKind::Batch)
         );
         let mut dec = CompactClock::new();
-        let mut pool = BufferPool::new();
         let mut reader = BatchReader::new(&body).expect("frame count");
         assert_eq!(reader.remaining(), 3);
         for (region, seq, clock, runs) in &frames {
-            let f = reader.next(&mut dec, &mut pool).expect("frame decodes");
-            assert_eq!(f.region, *region);
-            assert_eq!(f.seq, *seq);
+            let f = reader.next(&mut dec).expect("frame decodes");
+            assert_eq!(f.region(), *region);
+            assert_eq!(f.seq(), *seq);
             assert_eq!(dec.baseline(), clock.as_slice());
-            assert_eq!(&f.runs, runs);
+            assert_eq!(&f.runs().collect::<Vec<_>>(), runs);
             let expect: Vec<u8> = runs
                 .iter()
                 .flat_map(|&(off, len)| data[off as usize..(off + len) as usize].to_vec())
                 .collect();
-            assert_eq!(f.payload, expect);
+            assert_eq!(f.payload(), expect);
         }
         assert!(reader.finished());
-        assert!(reader.next(&mut dec, &mut pool).is_none(), "exhausted");
+        assert!(reader.next(&mut dec).is_none(), "exhausted");
     }
 
     #[test]
@@ -961,18 +1059,17 @@ mod tests {
         finish_batch(&mut batch, 1);
         let body = &batch[5..]; // strip the message len + kind
 
-        let mut pool = BufferPool::new();
         assert!(BatchReader::new(&body[..3]).is_none(), "no frame count");
         // Truncated inside the frame: next() fails with frames remaining.
         let mut r = BatchReader::new(&body[..body.len() - 2]).expect("count");
-        assert!(r.next(&mut CompactClock::new(), &mut pool).is_none());
+        assert!(r.next(&mut CompactClock::new()).is_none());
         assert_eq!(r.remaining(), 1, "failure, not exhaustion");
         assert!(!r.finished());
         // Trailing garbage after the last frame: finished() stays false.
         let mut long = body.to_vec();
         long.push(0);
         let mut r = BatchReader::new(&long).expect("count");
-        assert!(r.next(&mut CompactClock::new(), &mut pool).is_some());
+        assert!(r.next(&mut CompactClock::new()).is_some());
         assert_eq!(r.remaining(), 0);
         assert!(!r.finished(), "trailing garbage detected");
     }

@@ -412,9 +412,9 @@ fn wire_v2_batch_round_trips() {
         let mut frames = wire::BatchReader::new(&msg).expect("frame count");
         for (f, (want, want_clock)) in expect.iter().enumerate() {
             let got = frames
-                .next(&mut dec, &mut pool)
+                .next(&mut dec)
                 .unwrap_or_else(|| panic!("seed {seed} frame {f}: decode failed"));
-            assert_eq!(&got, want, "seed {seed} frame {f}");
+            assert_eq!(&got.to_owned(&mut pool), want, "seed {seed} frame {f}");
             assert_eq!(dec.baseline(), want_clock, "seed {seed} frame {f}");
         }
         assert!(frames.finished(), "seed {seed}");
@@ -427,7 +427,7 @@ fn wire_v2_batch_round_trips() {
         if let Some(reader) = truncated.as_mut() {
             let mut ok = 0usize;
             while reader.remaining() > 0 {
-                match reader.next(&mut dec, &mut pool) {
+                match reader.next(&mut dec) {
                     Some(_) => ok += 1,
                     None => break,
                 }

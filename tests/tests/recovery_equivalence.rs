@@ -13,10 +13,15 @@
 //! The suite pins the whole 12-implementation matrix at 1 and 4 processors
 //! on SOR, and exercises the channel transport (checkpoint images and the
 //! rollback notice travel the wire to every replica, which verifies count
-//! and fingerprint at finish).
+//! and fingerprint at finish).  SOR takes no locks, so a second program
+//! makes uncontended lock releases in the crash epoch: under the LRC family
+//! their frames are still in the unsent wire batch when the crash fires.
 
 use dsm_apps::{run_app_opts, App, AppReport, RunOpts, Scale};
-use dsm_core::{FaultPlan, ImplKind, TransportKind};
+use dsm_core::{
+    BarrierId, BlockGranularity, Dsm, DsmConfig, FaultPlan, ImplKind, LockId, LockMode, RunResult,
+    TransportKind,
+};
 use dsm_tests::canon_app;
 
 /// Runs tiny SOR at `nprocs` under `kind` with the given options.
@@ -152,4 +157,91 @@ fn checkpoint_images_and_rollback_notices_survive_the_socket_transport() {
         "no checkpoint crossed the wire"
     );
     assert_eq!(report.wire.rollback_frames, 1);
+}
+
+/// u32 words per 4 KiB page.
+const WORDS_PER_PAGE: usize = 1024;
+
+/// Barrier-separated epochs of [`locked_epochs`].
+const EPOCHS: u32 = 6;
+
+/// A barrier-structured program whose every epoch makes uncontended lock
+/// releases: node `p` rewrites words of its own page in two critical
+/// sections on its own lock `p`, then, after the barrier, reads its
+/// neighbour's page.  Under the LRC family each release ends an interval
+/// and appends that interval's frames to the open wire batch, which only
+/// the barrier sends — so a crash at a barrier finds the crash epoch's
+/// frames still unsent.
+fn locked_epochs(kind: ImplKind, transport: TransportKind, fault: FaultPlan) -> RunResult {
+    const NPROCS: usize = 2;
+    let mut cfg = DsmConfig::with_procs(kind, NPROCS);
+    cfg.transport = transport;
+    cfg.fault = fault;
+    let mut dsm = Dsm::new(cfg).expect("valid config");
+    let data = dsm.alloc_array::<u32>(
+        "locked-epochs",
+        NPROCS * WORDS_PER_PAGE,
+        BlockGranularity::Word,
+    );
+    dsm.run(|ctx| {
+        let me = ctx.node();
+        let lock = LockId::new(me as u32);
+        for epoch in 0..EPOCHS {
+            for round in 0..2u32 {
+                let step = (epoch * 2 + round) as usize;
+                let mut g = ctx.lock(lock, LockMode::Exclusive);
+                for k in 0..16usize {
+                    let idx = me * WORDS_PER_PAGE + (k * 61 + step * 17) % WORDS_PER_PAGE;
+                    g.set(
+                        data,
+                        idx,
+                        epoch * 1000 + round * 100 + me as u32 * 10 + k as u32,
+                    );
+                }
+            }
+            ctx.barrier(BarrierId::new(0));
+            let neighbour = (me + 1) % NPROCS;
+            std::hint::black_box(ctx.get(data, neighbour * WORDS_PER_PAGE + epoch as usize));
+        }
+        ctx.barrier(BarrierId::new(1));
+    })
+}
+
+#[test]
+fn crash_epoch_lock_releases_recover_over_real_transports() {
+    // Node 1 dies entering barrier 3, after epoch 3's two lock releases
+    // have published their intervals into its still-open batch.
+    let fault = FaultPlan::KillAt {
+        node: 1,
+        barrier: 3,
+    };
+    for kind in [
+        ImplKind::lrc_diff(),
+        ImplKind::hlrc_diff(),
+        ImplKind::adaptive_diff(),
+    ] {
+        let clean = locked_epochs(kind, TransportKind::Simulated, FaultPlan::None);
+        for (transport, replicas) in [
+            (TransportKind::Channel, 2),
+            (TransportKind::SocketLocal(1), 1),
+        ] {
+            let label = transport.label();
+            let crashed = locked_epochs(kind, transport, fault);
+            assert_eq!(crashed.recovery.crashes, 1, "{kind} over {label}");
+            assert_eq!(crashed.wire.rollback_frames, 1, "{kind} over {label}");
+            assert_eq!(
+                crashed.wire.replicas_verified, replicas,
+                "{kind} over {label}: every replica verifies"
+            );
+            assert_eq!(
+                crashed.wire.frames_applied,
+                crashed.wire.frames_sent * replicas as u64,
+                "{kind} over {label}: replicas dropped frames"
+            );
+            assert_eq!(
+                crashed.wire.master_fnv, clean.wire.master_fnv,
+                "{kind} over {label}: final contents differ from the clean run"
+            );
+        }
+    }
 }
